@@ -1,4 +1,4 @@
-// Ablations of the design choices DESIGN.md calls out:
+// Ablations of three GTS design choices:
 //  (a) FFT reference-set depth (§4.3): how many ancestor pivots the pivot
 //      selection maximizes distance against — pruning quality vs build cost;
 //  (b) the approximate-kNN candidate budget (§7 future work): recall vs

@@ -2,8 +2,8 @@
 // the metric substrate — the elementary-op generators behind every
 // simulated-clock charge.
 //
-// Three series families, all sized so one iteration scores the same 256
-// objects (so throughput ratios between any two series are valid):
+// Three kernel series families, all sized so one iteration scores the same
+// 256 objects (so throughput ratios between any two of them are valid):
 //
 //   BM_Distance/<metric>          historical per-call latency (one call per
 //                                 iteration) under the default dispatch.
@@ -20,17 +20,34 @@
 //                                 scalar tier selects the two-row DP,
 //                                 wider tiers the Myers bit-parallel kernel.
 //
+// And one end-to-end pair, one iteration answering the same 128 exact
+// 8-NN queries on T-Loc (n = 100k):
+//
+//   gts-micro/knn-TLoc@gts        one GtsIndex::KnnQueryBatch call.
+//   gts-micro/knn-TLoc@scan       the linear-scan floor: per query, one
+//                                 DistanceBatch over every object plus a
+//                                 partial_sort by (dist, id).
+//
 // CI gates the block/bit-parallel speedups with
-// `diff_bench.py --require-ratio 'block-X@simd>=K*block-X@scalar'` — see
+// `diff_bench.py --require-ratio 'block-X@simd>=K*block-X@scalar'`, and
+// exact kNN against its floor with
+// `--require-ratio 'knn-TLoc@gts>=knn-TLoc@scan'` — see
 // .github/workflows/ci.yml.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/gts.h"
 #include "data/generators.h"
+#include "data/workload.h"
+#include "gpu/device.h"
 #include "metric/simd.h"
 #include "metric/soa.h"
 
@@ -123,6 +140,78 @@ void EditScore(benchmark::State& state, DatasetId id, simd::Tier tier) {
   state.SetItemsProcessed(state.iterations() * kObjects);
 }
 
+// The T-Loc kNN workload both knn-TLoc series answer, built once on first
+// use and shared (google-benchmark re-enters a series several times).
+struct KnnWorkload {
+  static constexpr uint32_t kN = 100'000;
+  static constexpr uint32_t kQueries = 128;
+  static constexpr uint32_t kK = 8;
+
+  KnnWorkload()
+      : data(GenerateDataset(DatasetId::kTLoc, kN, 3)),
+        queries(SampleQueries(data, kQueries, 5)),
+        metric(MakeDatasetMetric(DatasetId::kTLoc)),
+        ids(kN) {
+    std::iota(ids.begin(), ids.end(), 0u);
+    auto built = GtsIndex::Build(data, metric.get(), &device, GtsOptions{});
+    if (!built.ok()) {
+      std::fprintf(stderr, "knn-TLoc build failed: %s\n",
+                   built.status().ToString().c_str());
+      std::exit(1);
+    }
+    index = std::move(built).value();
+  }
+
+  static const KnnWorkload& Get() {
+    static const KnnWorkload workload;
+    return workload;
+  }
+
+  Dataset data;
+  Dataset queries;
+  std::unique_ptr<DistanceMetric> metric;
+  std::vector<uint32_t> ids;
+  gpu::Device device;
+  std::unique_ptr<GtsIndex> index;
+};
+
+void KnnGts(benchmark::State& state) {
+  const KnnWorkload& w = KnnWorkload::Get();
+  for (auto _ : state) {
+    auto res = w.index->KnnQueryBatch(w.queries, KnnWorkload::kK);
+    if (!res.ok()) {
+      state.SkipWithError(res.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(res.value().data());
+  }
+  state.SetItemsProcessed(state.iterations() * KnnWorkload::kQueries);
+}
+
+void KnnScan(benchmark::State& state) {
+  const KnnWorkload& w = KnnWorkload::Get();
+  std::vector<float> dist(w.ids.size());
+  std::vector<Neighbor> all(w.ids.size());
+  KnnResults out(KnnWorkload::kQueries);
+  for (auto _ : state) {
+    for (uint32_t q = 0; q < KnnWorkload::kQueries; ++q) {
+      w.metric->DistanceBatch(w.queries, q, w.data, w.ids, dist.data());
+      for (size_t i = 0; i < all.size(); ++i) {
+        all[i] = Neighbor{w.ids[i], dist[i]};
+      }
+      std::partial_sort(all.begin(), all.begin() + KnnWorkload::kK, all.end(),
+                        [](const Neighbor& a, const Neighbor& b) {
+                          return a.dist != b.dist ? a.dist < b.dist
+                                                  : a.id < b.id;
+                        });
+      out[q].assign(all.begin(), all.begin() + KnnWorkload::kK);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * KnnWorkload::kQueries);
+}
+
 // Explicit registration: the kernel series carry the stable `gts-micro/...`
 // names the CI ratio gates reference, not BENCHMARK_CAPTURE's
 // function-derived ones.
@@ -146,6 +235,10 @@ int RegisterKernelBenches() {
     benchmark::RegisterBenchmark((base + "@bitpar").c_str(), EditScore, id,
                                  simd::BestTier());
   }
+  benchmark::RegisterBenchmark("gts-micro/knn-TLoc@gts", KnnGts)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("gts-micro/knn-TLoc@scan", KnnScan)
+      ->Unit(benchmark::kMillisecond);
   return 0;
 }
 

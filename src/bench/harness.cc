@@ -18,7 +18,7 @@ namespace gts::bench {
 namespace {
 // Paper testbed: 11 GB device, 128 GB host. The host base is reduced to
 // 1.2 GB-equivalent so the scaled budgets reproduce EGNAT's construction
-// OOM on T-Loc (Table 4) — calibration documented in DESIGN.md §2.
+// OOM on T-Loc (Table 4); harness.h explains the scaling.
 constexpr double kDeviceBaseBytes = 11e9;
 constexpr double kHostBaseBytes = 1.2e9;
 }  // namespace

@@ -2,7 +2,7 @@
 // budgets, measurement helpers reading the simulated clocks, and row
 // printers producing the paper's tables/series.
 //
-// Budgets (DESIGN.md §2): every experiment models the paper's testbed — an
+// Budgets: every experiment models the paper's testbed — an
 // 11 GB RTX 2080 Ti and 128 GB host — scaled by the ratio between our
 // synthetic cardinality and the paper's dataset cardinality, so the OOM /
 // memory-deadlock episodes of Table 4 and Figs. 9/11 reproduce at scale.

@@ -10,6 +10,7 @@
 // pinned version — lock-free, and unperturbed by concurrent updates.
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -20,6 +21,9 @@ namespace gts {
 
 namespace {
 constexpr float kNoParent = std::numeric_limits<float>::quiet_NaN();
+// Candidates a query orders in its first round of lazy selection (see
+// VerifyKnnLeaves); each later round orders twice as many.
+constexpr size_t kFirstChunk = 256;
 }  // namespace
 
 void GtsIndex::KnnState::Offer(uint32_t id, float dist) {
@@ -280,82 +284,111 @@ void GtsIndex::VerifyKnnLeaves(std::span<const Entry> frontier,
   }
   ctx->stats.objects_verified += seed_scanned;
 
-  // Kernel B1: pivot filter with the seeded bounds; surviving candidates
-  // carry their annulus gap |tl_dis - dq| (a lower bound on the true
-  // distance by Lemma 5.2).
-  struct Candidate {
-    uint32_t query;
-    uint32_t idx;
-    float gap;
-  };
-  std::vector<Candidate> candidates;
-  uint64_t scanned = 0;
-  for (size_t fi = 0; fi < frontier.size(); ++fi) {
-    const Entry& e = frontier[fi];
-    if (seed_entry[e.query] == fi) continue;  // already verified
-    const GtsNode& leaf = ctx->node(e.node);
-    const bool has_parent = e.node != 1;
-    const float bound = (*states)[e.query].Bound();
-    scanned += leaf.size;
-    for (uint32_t j = 0; j < leaf.size; ++j) {
-      const uint32_t idx = leaf.pos + j;
-      const float gap =
-          has_parent ? std::fabs(tl_dis[idx] - e.parent_dq) : 0.0f;
-      if (gap > bound) continue;
-      if (!alive[tl_object[idx]]) continue;
-      candidates.push_back(Candidate{e.query, idx, gap});
-    }
-  }
-  ctx->clock.ChargeKernel(scanned, scanned * 2);
-  ctx->stats.objects_verified += scanned;
-
-  // Algorithm 5's encode-sort: candidates ordered per query by ascending
-  // annulus gap, so verification tightens the bound as early as possible
-  // and skips candidates the shrunken bound disproves.
-  // Table index as the final tie-break: equal-gap candidates must verify in
-  // a deterministic order or ties at the k-th boundary would depend on how
+  // Kernels B1 + B2, fused into one pass per query over its contiguous run
+  // of the frontier (sorted by query, as GroupFrontier relies on). B1
+  // filters the query's non-seed leaves through the stored pivot column
+  // against the seeded bound; each survivor carries its annulus gap
+  // |tl_dis - dq|, a lower bound on its true distance (Lemma 5.2). B2
+  // verifies survivors in ascending (gap, idx) order so the bound tightens
+  // as early as possible, re-checking each gap against the bound the
+  // previous Offers tightened — whether a distance is evaluated at all
+  // depends on the preceding evaluations, so they stay one call each. The
+  // table index breaks gap ties: equal-gap candidates must verify in a
+  // deterministic order or ties at the k-th boundary would depend on how
   // the batch was composed (the sharded executor must be byte-identical to
   // the single-threaded batch).
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.query != b.query) return a.query < b.query;
-              if (a.gap != b.gap) return a.gap < b.gap;
-              return a.idx < b.idx;
-            });
-  ctx->clock.ChargeSort(candidates.size());
+  //
+  // Algorithm 5 orders the candidates with a device-wide encode-sort, and
+  // the model charges that sort. The host orders them lazily instead, in
+  // rounds: each moves the next chunk of smallest keys to the front
+  // (nth_element), sorts just that chunk and verifies it, and the chunk
+  // doubles every round. Verification stops at the first gap above
+  // Bound(): the bound never grows, so the sorted scan would skip every
+  // later candidate too. Both evaluate the same candidates in the same
+  // order, but a query the bound stops early (T-Loc: a few hundred of
+  // ~40k candidates) costs the host about one linear pass, and one that
+  // verifies most of its candidates (edit distance, Color) about one sort.
+  //
+  // Keys pack (gap, idx) into one word, gap bits high: gaps are
+  // non-negative floats, whose bit patterns order like their values.
+  std::vector<uint64_t> candidates;  // one query's, reused
+  uint64_t scanned = 0;
+  uint64_t total_candidates = 0;
+  const DistanceStats b2_start = DistanceMetric::ThreadStats();
+  for (size_t begin = 0; begin < frontier.size();) {
+    const uint32_t q = frontier[begin].query;
+    assert(begin == 0 || frontier[begin - 1].query < q);
+    size_t end = begin;
+    while (end < frontier.size() && frontier[end].query == q) ++end;
+    KnnState& state = (*states)[q];
 
-  // Approximate mode: cap each query's verified candidates to the best
-  // fraction (by annulus gap); exact mode (fraction = 1) keeps all.
-  std::vector<uint32_t> budget;
-  if (ctx->candidate_fraction < 1.0) {
-    budget.assign(states->size(), 0);
-    std::vector<uint32_t> totals(states->size(), 0);
-    for (const Candidate& c : candidates) ++totals[c.query];
-    for (size_t q = 0; q < totals.size(); ++q) {
-      const uint32_t k2 = (*states)[q].k * 2;
-      budget[q] = std::max<uint32_t>(
-          k2, static_cast<uint32_t>(ctx->candidate_fraction * totals[q]));
+    // B1: filter with the seeded bound.
+    const float bound = state.Bound();
+    candidates.clear();
+    for (size_t fi = begin; fi < end; ++fi) {
+      if (seed_entry[q] == fi) continue;  // already verified
+      const Entry& e = frontier[fi];
+      const GtsNode& leaf = ctx->node(e.node);
+      const bool has_parent = e.node != 1;
+      scanned += leaf.size;
+      for (uint32_t j = 0; j < leaf.size; ++j) {
+        const uint32_t idx = leaf.pos + j;
+        const float gap =
+            has_parent ? std::fabs(tl_dis[idx] - e.parent_dq) : 0.0f;
+        if (gap > bound) continue;
+        if (!alive[tl_object[idx]]) continue;
+        candidates.push_back(uint64_t{std::bit_cast<uint32_t>(gap)} << 32 |
+                             idx);
+      }
+    }
+    total_candidates += candidates.size();
+    begin = end;
+
+    // Approximate mode: the query verifies only the best fraction of its
+    // candidates (by annulus gap), never fewer than 2k; the budget is spent
+    // by every candidate reached, verified or not. Exact mode keeps all.
+    size_t budget = candidates.size();
+    if (ctx->candidate_fraction < 1.0) {
+      const uint32_t total = static_cast<uint32_t>(candidates.size());
+      budget = std::max<uint32_t>(
+          state.k * 2, static_cast<uint32_t>(ctx->candidate_fraction * total));
+    }
+
+    // B2: verify in ascending (gap, idx) order until the bound or the
+    // budget runs out.
+    bool open = true;  // false once a gap exceeds the bound
+    auto first = candidates.begin();
+    for (size_t chunk = kFirstChunk;
+         open && budget > 0 && first != candidates.end(); chunk *= 2) {
+      auto last = candidates.end();
+      if (static_cast<size_t>(last - first) > chunk) {
+        last = first + chunk;
+        std::nth_element(first, last, candidates.end());
+      }
+      std::sort(first, last);
+      for (; budget > 0 && first != last; ++first, --budget) {
+        const float gap =
+            std::bit_cast<float>(static_cast<uint32_t>(*first >> 32));
+        if (gap > state.Bound()) {
+          open = false;
+          break;
+        }
+        const uint32_t id = tl_object[static_cast<uint32_t>(*first)];
+        state.Offer(id, QueryObjectDistance(queries, q, id, ctx));
+      }
     }
   }
+  const DistanceStats b2_end = DistanceMetric::ThreadStats();
 
-  // Kernel B2: exact verification feeding the running top-k. Deliberately
-  // NOT batched: each candidate's gap is re-checked against the bound the
-  // previous Offers just tightened, so whether a distance is evaluated at
-  // all depends on the preceding evaluations. Blocking this loop would
-  // change the evaluated set (and the counters and modeled cost with it);
-  // the bound-interleaved scan is the price of Algorithm 5's early-exit.
-  gpu::KernelDistanceScope scope(&ctx->clock, metric_,
-                                 gpu::KernelDistanceScope::kAutoItems);
-  for (const Candidate& c : candidates) {
-    if (!budget.empty()) {
-      if (budget[c.query] == 0) continue;
-      --budget[c.query];
-    }
-    if (c.gap > (*states)[c.query].Bound()) continue;
-    const uint32_t id = tl_object[c.idx];
-    (*states)[c.query].Offer(
-        id, QueryObjectDistance(queries, c.query, id, ctx));
-  }
+  // The model keeps the paper's kernel sequence: the B1 filter, the
+  // encode-sort of all candidates, then the B2 distance kernel (charged
+  // from the work measured around the fused pass, as KernelDistanceScope
+  // would have).
+  ctx->clock.ChargeKernel(scanned, scanned * 2);
+  ctx->stats.objects_verified += scanned;
+  ctx->clock.ChargeSort(total_candidates);
+  ctx->clock.ChargeKernel(b2_end.calls - b2_start.calls,
+                          b2_end.ops - b2_start.ops);
 }
 
 void GtsIndex::SearchCacheKnn(const Dataset& queries,

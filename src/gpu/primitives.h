@@ -72,7 +72,7 @@ void SortPairsByKey(Device* device, std::span<double> keys,
 /// Variant carrying the table list through the sort: permutes `objects` and
 /// `dis` together by ascending `keys`. The paper decodes distances back from
 /// the encoded keys; carrying the exact float values instead costs the same
-/// on the model and avoids decode rounding (DESIGN.md §5).
+/// on the model and avoids decode rounding.
 void SortTableByKey(Device* device, std::span<double> keys,
                     std::span<uint32_t> objects, std::span<float> dis);
 

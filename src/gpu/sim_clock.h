@@ -21,7 +21,7 @@
 
 namespace gts::gpu {
 
-/// Calibration constants (documented in DESIGN.md §2). The CPU:GPU per-lane
+/// Calibration constants. The CPU:GPU per-lane
 /// speed ratio models "one fast SIMD core vs thousands of slow lanes":
 /// 0.05 ns/op ≈ 20 Gop/s for a vectorized single core, so the full-device
 /// gap is 4096 lanes / (1.2/0.05) ≈ 170x — the paper's "up to two orders of

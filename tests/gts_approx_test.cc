@@ -96,6 +96,50 @@ TEST_F(GtsApproxTest, RecallGrowsWithFraction) {
   EXPECT_DOUBLE_EQ(prev_recall, 1.0);  // fraction = 1 -> exact
 }
 
+// The candidate budget is per query: a query's approximate answer depends
+// on its own candidates only, never on which other queries share its batch
+// or how the device budget splits that batch into groups.
+TEST_F(GtsApproxTest, BudgetIsPerQueryNotPerBatch) {
+  for (const DatasetId id : {DatasetId::kColor, DatasetId::kWords}) {
+    SCOPED_TRACE(GetDatasetSpec(id).name);
+    Build(id, 1500);
+    const Dataset queries = SampleQueries(index_->data(), 64, 3);
+    constexpr uint32_t kK = 8;
+    constexpr double kFraction = 0.2;
+
+    GtsQueryStats roomy_stats;
+    auto roomy = index_->KnnQueryBatchApprox(queries, kK, kFraction,
+                                             &roomy_stats);
+    ASSERT_TRUE(roomy.ok());
+
+    const uint64_t budget = device_.memory_bytes();
+    device_.set_memory_bytes(index_->DeviceResidentBytes() + 24 * 1024);
+    GtsQueryStats tight_stats;
+    auto tight = index_->KnnQueryBatchApprox(queries, kK, kFraction,
+                                             &tight_stats);
+    device_.set_memory_bytes(budget);
+    ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+    ASSERT_GT(tight_stats.query_groups, roomy_stats.query_groups);
+
+    for (uint32_t q = 0; q < queries.size(); ++q) {
+      const uint32_t one[] = {q};
+      auto alone = index_->KnnQueryBatchApprox(queries.Slice(one), kK,
+                                               kFraction);
+      ASSERT_TRUE(alone.ok());
+      const std::vector<Neighbor>& want = alone.value()[0];
+      for (const KnnResults* batch : {&roomy.value(), &tight.value()}) {
+        const std::vector<Neighbor>& got = (*batch)[q];
+        ASSERT_EQ(got.size(), want.size()) << "query " << q;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id) << "query " << q << " rank " << i;
+          EXPECT_EQ(got[i].dist, want[i].dist)
+              << "query " << q << " rank " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(GtsApproxTest, RejectsBadFraction) {
   Build(DatasetId::kTLoc, 200);
   const Dataset queries = SampleQueries(index_->data(), 2, 3);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-invariant linter: rules the compiler can't see.
 
-Four rules, each a hard CI gate (lint job + ctest):
+Five rules, each a hard CI gate (lint job + ctest):
 
   naked-primitives    No std::mutex / std::lock_guard / std::scoped_lock /
                       std::unique_lock / std::condition_variable / ... in
@@ -22,6 +22,12 @@ Four rules, each a hard CI gate (lint job + ctest):
                       fine; the rule matches Submit calls and get/wait on
                       future-named receivers. ReadSnapshot's member guard
                       is exempt by design: snapshots pin deliberately.)
+  doc-refs            Every *.md path named in a comment (C++ // and /* */
+                      comments, Python # comments and docstrings) under
+                      src/, bench/ or tools/ exists — relative to the repo
+                      root or to the naming file, or, for a bare file name,
+                      anywhere in the repo. Pointers to docs that were never
+                      written are how readers get lost.
 
 Exit 0 when clean; exit 1 listing violations. --self-test runs every rule
 against embedded good/bad snippets and fails if any rule misses its bad
@@ -29,11 +35,14 @@ snippet or flags its good one.
 """
 
 import argparse
+import io
 import json
+import os
 import pathlib
 import re
 import sys
 import tempfile
+import tokenize
 
 NAKED_PRIMITIVES = [
     "std::mutex",
@@ -50,6 +59,7 @@ WRAPPER_HEADER = pathlib.Path("src/common/thread_annotations.h")
 
 FAULT_SITE_RE = re.compile(r'\b(?:Trip|TripDelayMicros)\s*\(\s*"([^"]+)"')
 BENCH_SERIES_RE = re.compile(r'"(gts-[A-Za-z0-9/_@.,=-]*)"')
+MD_REF_RE = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b")
 GUARD_DECL_RE = re.compile(r"\bepoch::Guard\s+\w+\s*\(")
 BLOCKING_RE = re.compile(
     r"\bSubmit\w*\s*\(|\b\w*[Ff]ut\w*(?:ure)?s?(?:\[[^\]]*\])?"
@@ -57,9 +67,14 @@ BLOCKING_RE = re.compile(
 )
 
 
-def strip_comments(text):
-    """Remove // and /* */ comments, preserving line numbers and strings."""
+def strip_comments(text, keep_comments=False):
+    """Remove // and /* */ comments, preserving line numbers and strings.
+
+    With keep_comments, return the opposite: only the comment text, with
+    code and string literals blanked (line numbers still preserved).
+    """
     out = []
+    comments = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -78,17 +93,22 @@ def strip_comments(text):
                 out.append(quote)
                 i += 1
         elif text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
+            end = text.find("\n", i)
+            end = n if end < 0 else end
+            comments.append(text[i:end])
+            i = end
         elif text.startswith("/*", i):
             end = text.find("*/", i + 2)
             end = n if end < 0 else end + 2
+            comments.append(text[i:end])
             out.append("\n" * text.count("\n", i, end))
             i = end
         else:
+            if c == "\n":
+                comments.append(c)
             out.append(c)
             i += 1
-    return "".join(out)
+    return "".join(comments if keep_comments else out)
 
 
 def source_files(root, subdir, exts=(".h", ".cc")):
@@ -226,11 +246,70 @@ def check_epoch_guard_blocking(root):
     return violations
 
 
+def python_comments(text):
+    """Comment and docstring text of a Python file, one entry per line."""
+    lines = [""] * (text.count("\n") + 1)
+    statement_start = True
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            row = tok.start[0] - 1
+            if tok.type == tokenize.COMMENT or (
+                tok.type == tokenize.STRING and statement_start
+            ):
+                for k, part in enumerate(tok.string.split("\n")):
+                    lines[row + k] += " " + part
+            if tok.type not in (tokenize.COMMENT, tokenize.NL):
+                statement_start = tok.type in (
+                    tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT
+                )
+    except (tokenize.TokenError, SyntaxError):
+        pass
+    return "\n".join(lines)
+
+
+def markdown_names(root):
+    """Base names of every *.md file in the repo (build trees skipped)."""
+    names = set()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [
+            d for d in dirnames
+            if not d.startswith(".") and not d.startswith("build")
+        ]
+        names.update(f for f in filenames if f.endswith(".md"))
+    return names
+
+
+def check_doc_refs(root):
+    violations = []
+    md_names = markdown_names(root)
+    for subdir in ("src", "bench", "tools"):
+        for path in source_files(root, subdir, exts=(".h", ".cc", ".py")):
+            text = path.read_text()
+            comments = (
+                python_comments(text)
+                if path.suffix == ".py"
+                else strip_comments(text, keep_comments=True)
+            )
+            for lineno, line in enumerate(comments.splitlines(), 1):
+                for ref in MD_REF_RE.findall(line):
+                    if (root / ref).is_file() or (path.parent / ref).is_file():
+                        continue
+                    if "/" not in ref and ref in md_names:
+                        continue
+                    violations.append(
+                        f"{path.relative_to(root)}:{lineno}: comment names "
+                        f"'{ref}', which does not exist — point at the doc "
+                        "that holds the content, or say it inline"
+                    )
+    return violations
+
+
 RULES = {
     "naked-primitives": check_naked_primitives,
     "fault-sites": check_fault_sites,
     "bench-series": check_bench_series,
     "epoch-guard-blocking": check_epoch_guard_blocking,
+    "doc-refs": check_doc_refs,
 }
 
 
@@ -239,6 +318,7 @@ RULES = {
 GOOD_SOURCE = """\
 #include "common/thread_annotations.h"
 // std::mutex in a comment is fine.
+const char* kFixture = "GHOST.md";  // See docs/SERVING.md and SERVING.md.
 namespace gts {
 struct S {
   Mutex mu_;
@@ -258,6 +338,16 @@ BAD_NAKED = "#include <mutex>\nstd::mutex mu;\n"
 BAD_FAULT = (
     'void Extra() { fault::Registry::Instance().Trip("demo.rogue", 0); }\n'
 )
+BAD_DOC_REF = "/* Rationale in DESIGN.md. */\nint x;\n"
+GOOD_TOOL = '''\
+"""Checks docs/SERVING.md."""
+# Reads README.md.
+FIXTURE = "see GHOST.md"
+'''
+BAD_TOOL = '''\
+def f():
+    """Follows docs/GHOST.md."""
+'''
 BAD_GUARD = """\
 void Wait(Session* s) {
   epoch::Guard guard(&dom);
@@ -298,6 +388,9 @@ def write_tree(root, src, doc, bench, baseline):
         "#include <mutex>\nnamespace gts { using Std = std::mutex; }\n"
     )
     (root / "src" / "demo.cc").write_text(src)
+    (root / "tools").mkdir()
+    (root / "tools" / "demo_tool.py").write_text(GOOD_TOOL)
+    (root / "README.md").write_text("# Demo\n")
     (root / "docs").mkdir()
     (root / "docs" / "SERVING.md").write_text(doc)
     (root / "bench" / "baselines").mkdir(parents=True)
@@ -329,6 +422,8 @@ def self_test():
             ("fault-sites", "src/extra.cc", BAD_FAULT),
             ("epoch-guard-blocking", "src/extra.cc", BAD_GUARD),
             ("bench-series", "bench/demo_bench.cc", BAD_BENCH),
+            ("doc-refs", "src/extra.cc", BAD_DOC_REF),
+            ("doc-refs", "tools/demo_tool.py", BAD_TOOL),
         ]
         for idx, (rule_name, rel, content) in enumerate(cases):
             bad = pathlib.Path(tmp) / f"bad{idx}"

@@ -1,7 +1,10 @@
 // Deterministic whole-stack query fingerprint for the kernel-dispatch CI
-// matrix. Builds an index per paper dataset family, runs batched kNN and
-// range queries, and folds every observable — result ids, distance float
-// bits, query-stat counters, metric work counters — into one FNV-1a hash
+// matrix. Builds an index per paper dataset family, runs batched exact,
+// approximate and bounded kNN, range queries, a kNN under a device budget
+// tight enough to split the batch into several query groups, and a kNN
+// over tombstoned leaves, and folds every observable — result ids,
+// distance float bits, query-stat counters, metric work counters, the
+// device's modeled nanoseconds and kernel launches — into one FNV-1a hash
 // per dataset plus a combined digest.
 //
 // Two modes:
@@ -26,6 +29,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -57,8 +61,34 @@ void FoldPod(uint64_t* h, const T& v) {
   Fold(h, &v, sizeof(v));
 }
 
-// Fingerprint of one dataset family's full query workload (mirrors the
-// TierEquivalenceTest workload so a CI mismatch reproduces under gtest).
+constexpr uint32_t kK = 5;
+constexpr uint64_t kTightSlackBytes = 1024;
+constexpr uint32_t kRemovedQueries = 3;
+
+void FoldKnn(uint64_t* h, const KnnResults& knn) {
+  for (const auto& res : knn) {
+    FoldPod(h, static_cast<uint64_t>(res.size()));
+    for (const Neighbor& nb : res) {
+      FoldPod(h, nb.id);
+      FoldPod(h, nb.dist);  // float BITS: equality is bitwise, not approx
+    }
+  }
+}
+
+// The evaluated distance set — and so every work counter — is part of the
+// contract: a tier that skipped or reordered evaluations would change these
+// even if the returned results happened to match.
+void FoldStats(uint64_t* h, const GtsQueryStats& s) {
+  FoldPod(h, s.distance_computations);
+  FoldPod(h, s.nodes_visited);
+  FoldPod(h, s.objects_verified);
+  FoldPod(h, s.query_groups);
+  FoldPod(h, s.nodes_pruned);
+}
+
+// Fingerprint of one dataset family's full query workload (the exact kNN
+// and range part mirrors the TierEquivalenceTest workload so a CI mismatch
+// there reproduces under gtest).
 uint64_t FingerprintDataset(DatasetId id) {
   const uint32_t n = id == DatasetId::kDna ? 120 : 400;
   Dataset data = GenerateDataset(id, n, 17);
@@ -73,21 +103,15 @@ uint64_t FingerprintDataset(DatasetId id) {
                  built.status().ToString().c_str());
     std::exit(2);
   }
-  const GtsIndex& index = *built.value();
+  GtsIndex& index = *built.value();
 
   uint64_t h = kFnvOffset;
   FoldPod(&h, static_cast<uint32_t>(id));
 
   GtsQueryStats knn_stats;
-  auto knn = index.KnnQueryBatch(queries, 5, &knn_stats);
+  auto knn = index.KnnQueryBatch(queries, kK, &knn_stats);
   if (!knn.ok()) std::exit(2);
-  for (const auto& res : knn.value()) {
-    FoldPod(&h, static_cast<uint64_t>(res.size()));
-    for (const Neighbor& nb : res) {
-      FoldPod(&h, nb.id);
-      FoldPod(&h, nb.dist);  // float BITS: equality is bitwise, not approx
-    }
-  }
+  FoldKnn(&h, knn.value());
 
   const float radius = id == DatasetId::kDna     ? 18.0f
                        : id == DatasetId::kWords ? 4.0f
@@ -101,19 +125,65 @@ uint64_t FingerprintDataset(DatasetId id) {
     for (const uint32_t oid : ids) FoldPod(&h, oid);
   }
 
-  // The evaluated distance set — and so every work counter — is part of
-  // the contract: a tier that skipped or reordered evaluations would
-  // change these even if the returned results happened to match.
-  for (const GtsQueryStats* s : {&knn_stats, &range_stats}) {
-    FoldPod(&h, s->distance_computations);
-    FoldPod(&h, s->nodes_visited);
-    FoldPod(&h, s->objects_verified);
-    FoldPod(&h, s->query_groups);
-    FoldPod(&h, s->nodes_pruned);
+  FoldStats(&h, knn_stats);
+  FoldStats(&h, range_stats);
+
+  // Approximate mode: the per-query candidate budget decides which
+  // candidates are verified at all.
+  GtsQueryStats approx_stats;
+  auto approx = index.KnnQueryBatchApprox(queries, kK, 0.25, &approx_stats);
+  if (!approx.ok()) std::exit(2);
+  FoldKnn(&h, approx.value());
+  FoldStats(&h, approx_stats);
+
+  // Bounded mode: even queries start capped at their exact k-th distance,
+  // odd ones uncapped.
+  std::vector<float> bounds(queries.size(),
+                            std::numeric_limits<float>::infinity());
+  for (uint32_t q = 0; q < queries.size(); q += 2) {
+    if (!knn.value()[q].empty()) bounds[q] = knn.value()[q].back().dist;
   }
+  GtsQueryStats bounded_stats;
+  auto bounded =
+      index.KnnQueryBatchBounded(queries, kK, bounds, &bounded_stats);
+  if (!bounded.ok()) std::exit(2);
+  FoldKnn(&h, bounded.value());
+  FoldStats(&h, bounded_stats);
+
+  // A device budget just above the index residency: the frontier no longer
+  // fits one group, so the batch runs as several sequential query groups.
+  const uint64_t budget = device.memory_bytes();
+  device.set_memory_bytes(index.DeviceResidentBytes() + kTightSlackBytes);
+  GtsQueryStats tight_stats;
+  auto tight = index.KnnQueryBatch(queries, kK, &tight_stats);
+  device.set_memory_bytes(budget);
+  if (!tight.ok()) std::exit(2);
+  if (tight_stats.query_groups <= knn_stats.query_groups) {
+    std::fprintf(stderr, "tight budget did not split the batch\n");
+    std::exit(2);
+  }
+  FoldKnn(&h, tight.value());
+  FoldStats(&h, tight_stats);
+
+  // Tombstones in the leaves: drop each of the first queries' nearest
+  // neighbour (the query object itself when it was sampled from the data).
+  for (uint32_t q = 0; q < kRemovedQueries; ++q) {
+    const uint32_t victim = knn.value()[q].front().id;
+    if (!index.IsAlive(victim)) continue;
+    if (!index.Remove(victim).ok()) std::exit(2);
+  }
+  GtsQueryStats removed_stats;
+  auto removed = index.KnnQueryBatch(queries, kK, &removed_stats);
+  if (!removed.ok()) std::exit(2);
+  FoldKnn(&h, removed.value());
+  FoldStats(&h, removed_stats);
+
   const DistanceStats ms = metric->stats();
   FoldPod(&h, ms.calls);
   FoldPod(&h, ms.ops);
+  // Modeled time: double BITS, so any reordered or re-sized charge shows.
+  FoldPod(&h, device.clock().ElapsedNs());
+  FoldPod(&h, device.clock().kernels_launched());
   return h;
 }
 
