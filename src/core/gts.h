@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -145,7 +144,8 @@ class GtsIndex {
   // aggregate query_stats() is maintained either way (atomically).
 
   /// Batched metric range query (Algorithm 4). `radii[i]` is the radius of
-  /// query object `i` of `queries`. Exact.
+  /// query object `i` of `queries`; a negative or NaN radius is
+  /// kInvalidArgument. Exact.
   Result<RangeResults> RangeQueryBatch(const Dataset& queries,
                                        std::span<const float> radii,
                                        GtsQueryStats* stats_out = nullptr) const;
@@ -301,14 +301,6 @@ class GtsIndex {
   /// not even while a rebuild is in flight (the rebuild runs beside the
   /// published version and swaps in afterwards).
   ReadSnapshot SnapshotForRead() const { return ReadSnapshot(this); }
-
-  /// Historical non-blocking variant of SnapshotForRead from the
-  /// shared-mutex era. Reads are now lock-free, so this always returns an
-  /// engaged optional; it is kept so monitoring paths written against the
-  /// old contract (serve::SessionRouter::stats()) compile unchanged.
-  std::optional<ReadSnapshot> TrySnapshotForRead() const {
-    return SnapshotForRead();
-  }
 
   // --- Updates (serialized writers) -------------------------------------
   // Update calls serialize on the writer-only mutex, never on readers.

@@ -80,38 +80,25 @@ bool QuerySession::AdmitRead() {
   return !stop_;
 }
 
-bool QuerySession::TranslateRead(RequestPayload* payload, PendingRead* out) {
+QuerySession::PendingRead QuerySession::TranslateRead(
+    RequestPayload* payload) {
+  PendingRead out;
   if (auto* range = std::get_if<RangePayload>(payload)) {
-    out->kind = PendingRead::Kind::kRange;
-    out->query = std::move(range->query);
-    out->radius = range->radius;
-    return true;
+    out.query = std::move(range->query);
+    out.radius = range->radius;
+  } else if (auto* knn = std::get_if<KnnPayload>(payload)) {
+    out.kind = PendingRead::Kind::kKnn;
+    out.query = std::move(knn->query);
+    out.k = knn->k;
+    out.bound_cap = knn->bound_cap;
+  } else {
+    auto& approx = std::get<KnnApproxPayload>(*payload);
+    out.kind = PendingRead::Kind::kKnn;
+    out.query = std::move(approx.query);
+    out.k = approx.k;
+    out.candidate_fraction = approx.candidate_fraction;
   }
-  if (auto* knn = std::get_if<KnnPayload>(payload)) {
-    out->kind = PendingRead::Kind::kKnn;
-    out->query = std::move(knn->query);
-    out->k = knn->k;
-    out->bound_cap = knn->bound_cap;
-    return true;
-  }
-  if (auto* approx = std::get_if<KnnApproxPayload>(payload)) {
-    out->kind = PendingRead::Kind::kKnn;
-    out->query = std::move(approx->query);
-    out->k = approx->k;
-    out->candidate_fraction = approx->candidate_fraction;
-    return true;
-  }
-  return false;
-}
-
-bool QuerySession::ValidRead(const PendingRead& read) const {
-  // The payload is already a private copy; the index's kind/dim are
-  // immutable, so this needs no lock. An out-of-range factory index
-  // arrives here as an empty query dataset. `!(cap >= 0)` rejects NaN.
-  return read.query.size() == 1 && index_->CompatibleData(read.query) &&
-         (read.kind != PendingRead::Kind::kKnn ||
-          (read.candidate_fraction > 0.0 && read.candidate_fraction <= 1.0 &&
-           read.bound_cap >= 0.0f));
+  return out;
 }
 
 Response QuerySession::ReadError(const PendingRead& read,
@@ -140,13 +127,12 @@ void QuerySession::EnqueueRead(PendingRead read, uint64_t deadline_micros,
 }
 
 std::future<Response> QuerySession::Submit(Request request) {
-  const auto submitted_at = Clock::now();
-  // Translate the typed payload into the internal work-item forms. The
-  // translation is pure (no lock): concurrent submitters only serialize
-  // on the queue push inside SubmitRead/SubmitWrite.
-  PendingRead read;
-  if (TranslateRead(&request.payload, &read)) {
-    return SubmitRead(std::move(read), request.deadline_micros, submitted_at);
+  if (request.is_read()) {
+    // A read is a batch of one: one validation, admission and enqueue
+    // path for both entry points.
+    std::vector<Request> one;
+    one.push_back(std::move(request));
+    return std::move(SubmitBatch(std::move(one))[0]);
   }
   return std::visit(
       [&](auto&& payload) -> std::future<Response> {
@@ -165,7 +151,7 @@ std::future<Response> QuerySession::Submit(Request request) {
         } else if constexpr (std::is_same_v<P, RebuildPayload>) {
           write.kind = PendingWrite::Kind::kRebuild;
         } else {
-          // Reads were handled by TranslateRead above.
+          // Reads were handled by SubmitBatch above.
           static_assert(std::is_same_v<P, RangePayload> ||
                         std::is_same_v<P, KnnPayload> ||
                         std::is_same_v<P, KnnApproxPayload>);
@@ -180,31 +166,31 @@ std::vector<std::future<Response>> QuerySession::SubmitBatch(
   const auto submitted_at = Clock::now();
   std::vector<std::future<Response>> futures(requests.size());
 
-  // Translate + validate off-lock; rejections and write fallbacks resolve
-  // per request. The admissible reads then enter the queue in one pass.
+  // Validate + translate off-lock (concurrent submitters only serialize
+  // on the queue push); rejections and write fallbacks resolve per
+  // request. The admissible reads then enter the queue in one pass.
   struct Slot {
     PendingRead read;
     uint64_t deadline_micros = 0;
-    size_t index = 0;
   };
   std::vector<Slot> admit;
   admit.reserve(requests.size());
   size_t invalid = 0;
   for (size_t i = 0; i < requests.size(); ++i) {
-    PendingRead read;
-    if (!TranslateRead(&requests[i].payload, &read)) {
-      futures[i] = Submit(std::move(requests[i]));
+    Request& request = requests[i];
+    if (!request.is_read()) {
+      futures[i] = Submit(std::move(request));
       continue;
     }
-    futures[i] = read.promise.get_future();
-    if (!ValidRead(read)) {
-      read.promise.set_value(ReadError(
-          read,
-          Status::InvalidArgument("query object invalid for this index")));
+    Status valid = ValidateRead(request.payload, *index_);
+    if (!valid.ok()) {
+      futures[i] = ResolvedFuture(ErrorResponse(request, std::move(valid)));
       ++invalid;
       continue;
     }
-    admit.push_back(Slot{std::move(read), requests[i].deadline_micros, i});
+    PendingRead read = TranslateRead(&request.payload);
+    futures[i] = read.promise.get_future();
+    admit.push_back(Slot{std::move(read), request.deadline_micros});
   }
 
   bool enqueued_any = false;
@@ -227,32 +213,6 @@ std::vector<std::future<Response>> QuerySession::SubmitBatch(
   // point exists for.
   if (enqueued_any) cv_dispatch_.SignalAll();
   return futures;
-}
-
-std::future<Response> QuerySession::SubmitRead(
-    PendingRead read, uint64_t deadline_micros,
-    Clock::time_point submitted_at) {
-  auto future = read.promise.get_future();
-
-  if (!ValidRead(read)) {
-    const Status invalid =
-        Status::InvalidArgument("query object invalid for this index");
-    MutexLock lock(&mu_);
-    ++stats_.rejected;
-    read.promise.set_value(ReadError(read, invalid));
-    return future;
-  }
-
-  MutexLock lock(&mu_);
-  if (!AdmitRead()) {
-    ++stats_.rejected;
-    read.promise.set_value(ReadError(
-        read, Status::ResourceExhausted("session read queue full")));
-    return future;
-  }
-  EnqueueRead(std::move(read), deadline_micros, submitted_at);
-  cv_dispatch_.SignalAll();
-  return future;
 }
 
 std::future<Response> QuerySession::SubmitWrite(PendingWrite write,

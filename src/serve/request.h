@@ -14,17 +14,13 @@
 // as scaling features (shard routing, weighted scheduling, replication)
 // land on top.
 //
-// The per-type `Submit{Range,Knn,...}` methods on QuerySession and
-// SessionRouter remain as one-line compat wrappers: they build a Request,
-// call the unified entry point, and adapt the future with ExpectResult<T>
-// (a deferred future that unwraps the expected Response alternative — the
-// promise chain is still driven by the session dispatcher, the adapter
-// only extracts). New callers should construct Requests directly.
+// Every read is checked by one validator, ValidateRead (below), before it
+// reaches a batcher or a shard planner, so all front ends reject the same
+// reads with the same message.
 //
 // Payload construction copies the query/insert object out of the caller's
 // dataset (Request::Range etc. slice object `idx` of `src`), so the
-// source dataset may be destroyed as soon as the Request is built — the
-// same ownership rule the legacy entry points had.
+// source dataset may be destroyed as soon as the Request is built.
 #ifndef GTS_SERVE_REQUEST_H_
 #define GTS_SERVE_REQUEST_H_
 
@@ -48,7 +44,7 @@ namespace gts::serve {
 /// Metric range query: all objects within `radius` of the query object.
 struct RangePayload {
   Dataset query = Dataset::Strings();  ///< exactly one object
-  float radius = 0.0f;
+  float radius = 0.0f;  ///< must be non-negative (NaN rejects)
 };
 
 /// Exact k-nearest-neighbour query.
@@ -233,8 +229,8 @@ struct Response {
 
 /// The error response whose alternative matches `request`'s payload family
 /// — the immediate-reject paths (invalid argument, admission, quota,
-/// unknown tenant) all resolve through this so wrappers and typed callers
-/// see the error in the alternative they expect.
+/// unknown tenant) all resolve through this so typed callers see the
+/// error in the alternative they expect.
 inline Response ErrorResponse(const Request& request, Status status) {
   return std::visit(
       [&](const auto& payload) -> Response {
@@ -253,6 +249,47 @@ inline Response ErrorResponse(const Request& request, Status status) {
       request.payload);
 }
 
+/// The one read validator of the serving plane: QuerySession (and through
+/// it SessionRouter) and ShardedFrontend all call it before a read is
+/// queued or planned. A read must carry exactly one object compatible
+/// with `index` (an out-of-range factory index arrives as an empty
+/// query), a non-negative range radius, a non-negative kNN bound_cap and
+/// a candidate_fraction in (0, 1]. The `!(x >= 0)` spellings reject NaN.
+/// Update payloads pass (their checks live with the update paths).
+inline Status ValidateRead(const RequestPayload& payload,
+                           const GtsIndex& index) {
+  return std::visit(
+      [&](const auto& p) -> Status {
+        using P = std::decay_t<decltype(p)>;
+        if constexpr (std::is_same_v<P, RangePayload> ||
+                      std::is_same_v<P, KnnPayload> ||
+                      std::is_same_v<P, KnnApproxPayload>) {
+          if (p.query.size() != 1 || !index.CompatibleData(p.query)) {
+            return Status::InvalidArgument(
+                "query object invalid for this index");
+          }
+          if constexpr (std::is_same_v<P, RangePayload>) {
+            if (!(p.radius >= 0.0f)) {
+              return Status::InvalidArgument(
+                  "range radius must be non-negative");
+            }
+          } else if constexpr (std::is_same_v<P, KnnPayload>) {
+            if (!(p.bound_cap >= 0.0f)) {
+              return Status::InvalidArgument(
+                  "kNN bound_cap must be non-negative");
+            }
+          } else {
+            if (!(p.candidate_fraction > 0.0 && p.candidate_fraction <= 1.0)) {
+              return Status::InvalidArgument(
+                  "candidate_fraction must be in (0, 1]");
+            }
+          }
+        }
+        return Status::Ok();
+      },
+      payload);
+}
+
 /// A future already resolved with `value` — the immediate-reject path of
 /// every front end.
 template <typename T>
@@ -260,26 +297,6 @@ std::future<T> ResolvedFuture(T value) {
   std::promise<T> promise;
   promise.set_value(std::move(value));
   return promise.get_future();
-}
-
-/// Adapts the unified future to a legacy typed future: a *deferred*
-/// future whose get()/wait() extracts the expected Response alternative.
-/// Deferred on purpose — the underlying promise is resolved by the
-/// serving plane regardless of whether the adapter is ever consumed; the
-/// wrapper adds no thread and no polling.
-///
-/// Semantics caveat: a deferred future reports std::future_status::
-/// deferred from wait_for/wait_until and never transitions to ready, so
-/// readiness-polling (timeout loops) does not work through the adapted
-/// wrappers — get()/wait() block correctly. Callers that poll should
-/// hold the Submit(Request) future itself, which is promise-backed and
-/// becomes ready when the plane resolves it.
-template <typename T>
-std::future<T> ExpectResult(std::future<Response> f) {
-  return std::async(std::launch::deferred, [f = std::move(f)]() mutable {
-    Response response = f.get();
-    return std::get<T>(std::move(response.result));
-  });
 }
 
 }  // namespace gts::serve

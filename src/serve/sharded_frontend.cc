@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -109,6 +110,50 @@ Status AckVerdict(uint32_t shard, uint32_t rf,
   return Status::Unavailable(std::move(msg));
 }
 
+/// One read's per-shard answers, (shard, result) in gather order.
+template <typename R>
+using ShardAnswers = std::vector<std::pair<uint32_t, R>>;
+
+/// The range merge: the union of the per-shard hits, remapped to global
+/// ids and sorted ascending — the canonical range order (search_range.cc
+/// sorts each per-query result), so the merge is byte-identical to a
+/// single-index run on a round-robin partition. The first error in
+/// gather order wins.
+RangeResult MergeRange(ShardAnswers<RangeResult> parts, uint32_t n) {
+  std::vector<uint32_t> merged;
+  for (auto& [shard, res] : parts) {
+    if (!res.ok()) return res.status();
+    for (const uint32_t local : res.value()) {
+      auto gid = ShardedFrontend::ComposeGlobalId(local, shard, n);
+      if (!gid.ok()) return gid.status();
+      merged.push_back(gid.value());
+    }
+  }
+  std::sort(merged.begin(), merged.end());
+  return merged;
+}
+
+/// The kNN merge, shared by exact and approximate kNN: the per-shard
+/// top-k's remapped to global ids, re-sorted under the canonical
+/// (dist, id) order and truncated to k. Selection by a total order
+/// commutes with partitioning, so this reproduces the single-index
+/// answer exactly; capped shards only ever dropped neighbors strictly
+/// beyond the bound, which the truncation would discard anyway.
+KnnResult MergeKnn(ShardAnswers<KnnResult> parts, uint32_t n, uint32_t k) {
+  std::vector<Neighbor> merged;
+  for (auto& [shard, res] : parts) {
+    if (!res.ok()) return res.status();
+    for (const Neighbor& nb : res.value()) {
+      auto gid = ShardedFrontend::ComposeGlobalId(nb.id, shard, n);
+      if (!gid.ok()) return gid.status();
+      merged.push_back(Neighbor{gid.value(), nb.dist});
+    }
+  }
+  SortNeighbors(&merged);
+  if (merged.size() > k) merged.resize(k);
+  return merged;
+}
+
 }  // namespace
 
 // Shared gather state of one SubmitBatch call's exact-kNN reads. Phase 1
@@ -203,36 +248,12 @@ struct ShardedFrontend::KnnScatter {
     }
     // After RunPhase2, each gather touches only its own item.
     Item& item = items[idx];
-    std::vector<Neighbor> merged;
-    Status first_bad = Status::Ok();
-    const uint32_t n = frontend->num_shards();
-    const auto absorb = [&](uint32_t shard, KnnResult res) {
-      if (!res.ok()) {
-        if (first_bad.ok()) first_bad = res.status();
-        return;
-      }
-      for (const Neighbor& nb : res.value()) {
-        auto gid = ComposeGlobalId(nb.id, shard, n);
-        if (!gid.ok()) {
-          if (first_bad.ok()) first_bad = gid.status();
-          return;
-        }
-        merged.push_back(Neighbor{gid.value(), nb.dist});
-      }
-    };
-    absorb(item.seed.shard, std::move(item.seed_result));
+    ShardAnswers<KnnResult> parts;
+    parts.emplace_back(item.seed.shard, std::move(item.seed_result));
     for (SubRead& sub : item.phase2) {
-      absorb(sub.shard, std::move(frontend->AwaitRead(&sub).knn()));
+      parts.emplace_back(sub.shard, std::move(frontend->AwaitRead(&sub).knn()));
     }
-    if (!first_bad.ok()) return Response{KnnResult(first_bad)};
-    // Selection by a total order commutes with partitioning: re-sorting
-    // the union of per-shard top-k's under the canonical order and
-    // truncating reproduces the single-index answer exactly. Capped
-    // shards only ever dropped neighbors strictly beyond the bound, which
-    // the truncation would discard anyway.
-    SortNeighbors(&merged);
-    if (merged.size() > item.k) merged.resize(item.k);
-    return Response{KnnResult(std::move(merged))};
+    return Response{MergeKnn(std::move(parts), frontend->num_shards(), item.k)};
   }
 };
 
@@ -512,14 +533,16 @@ std::vector<std::future<Response>> ShardedFrontend::FanWrite(
 }
 
 Status ShardedFrontend::GatherAcks(uint32_t shard,
-                                   std::vector<std::future<Response>>* acks) {
+                                   std::vector<std::future<Response>>* acks,
+                                   std::vector<Response>* responses) {
   fault::Registry& faults = fault::Registry::Instance();
   const uint32_t rf = static_cast<uint32_t>(acks->size());
   std::vector<Status> statuses;
   statuses.reserve(rf);
   std::vector<uint32_t> failed;
   for (uint32_t r = 0; r < rf; ++r) {
-    Status status = (*acks)[r].get().update();
+    Response response = (*acks)[r].get();
+    Status status = response.status();
     // Injection site: the replica APPLIED the write, its ack was lost —
     // replica content stays identical, only the acknowledgement degrades.
     // (This is why the site lives at the gather, after the apply.)
@@ -528,6 +551,7 @@ Status ShardedFrontend::GatherAcks(uint32_t shard,
     }
     if (!status.ok()) failed.push_back(r);
     statuses.push_back(std::move(status));
+    if (responses != nullptr) responses->push_back(std::move(response));
   }
   bool partial = false;
   Status verdict = AckVerdict(shard, rf, statuses, failed, &partial);
@@ -580,20 +604,17 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
   // per shard. Planning reads the PRIMARY replica's version — replicas
   // are content-identical, so any one of them is authoritative for
   // routing. (The replica sessions still pin their own flush-time
-  // versions for the queries themselves — same freshness contract the
-  // blind scatter had.)
+  // versions for the queries themselves.)
+  const GtsIndex& primary = *groups_[0]->replicas[0]->index();
   std::vector<GtsIndex::ReadSnapshot> snaps;
-  if (options_.prune_scatter) {
-    bool any_read = false;
-    for (const Request& r : requests) any_read |= r.is_read();
-    if (any_read) {
-      snaps.reserve(n);
-      for (auto& group : groups_) {
-        snaps.push_back(group->replicas[0]->index()->SnapshotForRead());
-        // The batch's routing probes against this shard are one
-        // concurrent probe wave, not a serial chain (AnchorClock).
-        snaps.back().AnchorClock();
-      }
+  if (std::any_of(requests.begin(), requests.end(),
+                  [](const Request& r) { return r.is_read(); })) {
+    snaps.reserve(n);
+    for (auto& group : groups_) {
+      snaps.push_back(group->replicas[0]->index()->SnapshotForRead());
+      // The batch's routing probes against this shard are one
+      // concurrent probe wave, not a serial chain (AnchorClock).
+      snaps.back().AnchorClock();
     }
   }
 
@@ -618,66 +639,39 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
   std::shared_ptr<KnnScatter> knn_state;
   std::vector<std::vector<Request>> shard_reqs(n);
 
-  const auto full_scatter = [&](size_t i, Request& request, bool is_range,
-                                uint32_t k) {
-    ScatterPlan plan;
-    plan.index = i;
-    plan.is_range = is_range;
-    plan.k = k;
-    plan.subs.reserve(n);
-    for (uint32_t s = 0; s < n; ++s) {
-      Request sub;
-      sub.deadline_micros = request.deadline_micros;
-      sub.payload = request.payload;  // per-shard copy
-      plan.subs.push_back(GatherRef{s, shard_reqs[s].size()});
-      shard_reqs[s].push_back(std::move(sub));
-    }
-    scatter_plans.push_back(std::move(plan));
-  };
-
   for (size_t i = 0; i < requests.size(); ++i) {
     Request& request = requests[i];
     if (!request.is_read()) {
       futures[i] = SubmitUpdate(std::move(request));
       continue;
     }
-    auto* range = std::get_if<RangePayload>(&request.payload);
-    auto* knn = std::get_if<KnnPayload>(&request.payload);
-    auto* approx = std::get_if<KnnApproxPayload>(&request.payload);
-    const Dataset& query = range != nullptr  ? range->query
-                           : knn != nullptr ? knn->query
-                                            : approx->query;
-    // Mirror QuerySession's validation (same message) so a rejected read
-    // never reaches the planner. `!(cap >= 0)` rejects NaN.
-    const bool valid =
-        query.size() == 1 &&
-        groups_[0]->replicas[0]->index()->CompatibleData(query) &&
-        (knn == nullptr || knn->bound_cap >= 0.0f) &&
-        (approx == nullptr || (approx->candidate_fraction > 0.0 &&
-                               approx->candidate_fraction <= 1.0));
-    if (!valid) {
-      futures[i] = ResolvedFuture(ErrorResponse(
-          request,
-          Status::InvalidArgument("query object invalid for this index")));
+    // The plane's one read validator (request.h), against the primary —
+    // shards share kind/dim — so a rejected read never reaches the
+    // planner.
+    Status valid = ValidateRead(request.payload, primary);
+    if (!valid.ok()) {
+      futures[i] = ResolvedFuture(ErrorResponse(request, std::move(valid)));
       continue;
     }
     scatter_reads_.fetch_add(1, std::memory_order_relaxed);
 
-    // Approximate kNN always fans to every shard (file comment); so does
-    // everything when pruning is off.
-    if (approx != nullptr) {
-      full_scatter(i, request, /*is_range=*/false, approx->k);
-      continue;
-    }
-    if (snaps.empty()) {
-      full_scatter(i, request, range != nullptr, knn != nullptr ? knn->k : 0);
+    // Approximate kNN always fans to every shard (file comment).
+    if (auto* approx = std::get_if<KnnApproxPayload>(&request.payload)) {
+      ScatterPlan plan{i, /*is_range=*/false, approx->k, {}};
+      plan.subs.reserve(n);
+      for (uint32_t s = 0; s < n; ++s) {
+        Request sub;
+        sub.deadline_micros = request.deadline_micros;
+        sub.payload = *approx;  // per-shard copy
+        plan.subs.push_back(GatherRef{s, shard_reqs[s].size()});
+        shard_reqs[s].push_back(std::move(sub));
+      }
+      scatter_plans.push_back(std::move(plan));
       continue;
     }
 
-    if (range != nullptr) {
-      ScatterPlan plan;
-      plan.index = i;
-      plan.is_range = true;
+    if (auto* range = std::get_if<RangePayload>(&request.payload)) {
+      ScatterPlan plan{i, /*is_range=*/true, 0, {}};
       uint64_t pruned = 0;
       for (uint32_t s = 0; s < n; ++s) {
         const CoveringBall ball = snaps[s].covering_ball();
@@ -711,7 +705,8 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
     }
 
     // Exact kNN: two-phase pruned scatter.
-    if (knn->k == 0) {
+    auto& knn = std::get<KnnPayload>(request.payload);
+    if (knn.k == 0) {
       futures[i] =
           ResolvedFuture(Response{KnnResult(std::vector<Neighbor>{})});
       pruned_.fetch_add(n, std::memory_order_relaxed);
@@ -725,9 +720,9 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
         ++pruned;
         continue;
       }
-      const float d = snaps[s].RoutingDistance(knn->query, 0, ball.pivot);
+      const float d = snaps[s].RoutingDistance(knn.query, 0, ball.pivot);
       const float lb = d - ball.radius;  // may be negative
-      if (lb > knn->bound_cap) {  // the client's own proven cap; strict
+      if (lb > knn.bound_cap) {  // the client's own proven cap; strict
         ++pruned;
         continue;
       }
@@ -748,8 +743,8 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
       knn_state->frontend = this;
     }
     KnnScatter::Item item;
-    item.k = knn->k;
-    item.client_cap = knn->bound_cap;
+    item.k = knn.k;
+    item.client_cap = knn.bound_cap;
     item.deadline_micros = request.deadline_micros;
     const uint32_t seed_shard = cands[seed].first;
     item.deferred.reserve(cands.size() - 1);
@@ -758,8 +753,8 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
     }
     Request sub;  // phase 1: the seed shard, under the client's cap only
     sub.deadline_micros = request.deadline_micros;
-    sub.payload = KnnPayload{knn->query, knn->k, knn->bound_cap};
-    item.query = std::move(knn->query);
+    sub.payload = KnnPayload{knn.query, knn.k, knn.bound_cap};
+    item.query = std::move(knn.query);
     knn_plans.push_back(KnnPlan{i, knn_state->items.size(),
                                 GatherRef{seed_shard,
                                           shard_reqs[seed_shard].size()}});
@@ -781,64 +776,25 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
     for (const GatherRef& ref : plan.subs) {
       subs.push_back(std::move(shard_subs[ref.shard][ref.pos]));
     }
-    if (plan.is_range) {
-      futures[plan.index] = std::async(
-          std::launch::deferred,
-          [this, n, subs = std::move(subs)]() mutable -> Response {
-            // Union of per-shard hits, remapped to global ids and sorted
-            // ascending — the canonical range order (search_range.cc
-            // sorts each per-query result), so the merge is
-            // byte-identical to a single-index run on a round-robin
-            // partition. Shards the planner pruned contribute nothing by
-            // construction (their balls cannot intersect the query ball).
-            std::vector<uint32_t> merged;
-            Status first_bad = Status::Ok();
+    // Shards the planner pruned contribute nothing by construction (their
+    // balls cannot intersect the query ball).
+    futures[plan.index] = std::async(
+        std::launch::deferred,
+        [this, n, is_range = plan.is_range, k = plan.k,
+         subs = std::move(subs)]() mutable -> Response {
+          if (is_range) {
+            ShardAnswers<RangeResult> parts;
             for (SubRead& sub : subs) {
-              RangeResult res = std::move(AwaitRead(&sub).range());
-              if (!res.ok()) {
-                if (first_bad.ok()) first_bad = res.status();
-                continue;
-              }
-              for (const uint32_t local : res.value()) {
-                auto gid = ComposeGlobalId(local, sub.shard, n);
-                if (!gid.ok()) {
-                  if (first_bad.ok()) first_bad = gid.status();
-                  break;
-                }
-                merged.push_back(gid.value());
-              }
+              parts.emplace_back(sub.shard, std::move(AwaitRead(&sub).range()));
             }
-            if (!first_bad.ok()) return Response{RangeResult(first_bad)};
-            std::sort(merged.begin(), merged.end());
-            return Response{RangeResult(std::move(merged))};
-          });
-    } else {
-      futures[plan.index] = std::async(
-          std::launch::deferred,
-          [this, n, k = plan.k, subs = std::move(subs)]() mutable -> Response {
-            std::vector<Neighbor> merged;
-            Status first_bad = Status::Ok();
-            for (SubRead& sub : subs) {
-              KnnResult res = std::move(AwaitRead(&sub).knn());
-              if (!res.ok()) {
-                if (first_bad.ok()) first_bad = res.status();
-                continue;
-              }
-              for (const Neighbor& nb : res.value()) {
-                auto gid = ComposeGlobalId(nb.id, sub.shard, n);
-                if (!gid.ok()) {
-                  if (first_bad.ok()) first_bad = gid.status();
-                  break;
-                }
-                merged.push_back(Neighbor{gid.value(), nb.dist});
-              }
-            }
-            if (!first_bad.ok()) return Response{KnnResult(first_bad)};
-            SortNeighbors(&merged);
-            if (merged.size() > k) merged.resize(k);
-            return Response{KnnResult(std::move(merged))};
-          });
-    }
+            return Response{MergeRange(std::move(parts), n)};
+          }
+          ShardAnswers<KnnResult> parts;
+          for (SubRead& sub : subs) {
+            parts.emplace_back(sub.shard, std::move(AwaitRead(&sub).knn()));
+          }
+          return Response{MergeKnn(std::move(parts), n, k)};
+        });
   }
   for (const KnnPlan& plan : knn_plans) {
     knn_state->items[plan.item].seed =
@@ -879,53 +835,27 @@ std::future<Response> ShardedFrontend::SubmitUpdate(Request request) {
     return std::async(
         std::launch::deferred,
         [this, n, shard, acks = std::move(acks)]() mutable -> Response {
-          fault::Registry& faults = fault::Registry::Instance();
-          const uint32_t rf = static_cast<uint32_t>(acks.size());
-          std::vector<Status> statuses;
-          statuses.reserve(rf);
-          std::vector<uint32_t> failed;
-          uint64_t local = 0;
-          bool have_local = false;
-          bool diverged = false;
-          for (uint32_t r = 0; r < rf; ++r) {
-            InsertResult res = std::move(acks[r].get().inserted());
-            Status status = res.ok() ? Status::Ok() : res.status();
-            if (status.ok() && faults.Trip("shard.write-ack", r)) {
-              status =
-                  Status::Unavailable("injected fault: shard.write-ack");
+          std::vector<Response> responses;
+          Status verdict = GatherAcks(shard, &acks, &responses);
+          // Every replica that applied the insert must have assigned the
+          // SAME local id — the write mutex guarantees it; a mismatch
+          // means the replicas forked and the global id would be a lie.
+          std::optional<uint32_t> local;
+          for (const Response& response : responses) {
+            if (!response.ok()) continue;
+            const uint32_t id = response.inserted().value();
+            if (local.has_value() && *local != id) {
+              return Response{InsertResult(Status::Internal(
+                  "replica local-id divergence on shard " +
+                  std::to_string(shard)))};
             }
-            if (status.ok()) {
-              // Every acked replica must have assigned the SAME local id
-              // — the write mutex guarantees it; a mismatch means the
-              // replicas forked and the global id would be a lie.
-              if (!have_local) {
-                local = res.value();
-                have_local = true;
-              } else if (res.value() != local) {
-                diverged = true;
-              }
-            } else {
-              failed.push_back(r);
-            }
-            statuses.push_back(std::move(status));
+            local = id;
           }
-          if (diverged) {
-            return Response{InsertResult(Status::Internal(
-                "replica local-id divergence on shard " +
-                std::to_string(shard)))};
-          }
-          bool partial = false;
-          Status verdict = AckVerdict(shard, rf, statuses, failed, &partial);
-          if (partial) {
-            partial_write_acks_.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (!verdict.ok()) {
-            return Response{InsertResult(std::move(verdict))};
-          }
+          if (!verdict.ok()) return Response{InsertResult(std::move(verdict))};
           // An overflowing composition reports the error AFTER the shard
           // applied the insert — the id space is exhausted, not the
           // update rolled back.
-          auto gid = ComposeGlobalId(local, shard, n);
+          auto gid = ComposeGlobalId(*local, shard, n);
           if (!gid.ok()) return Response{InsertResult(gid.status())};
           return Response{InsertResult(gid.value())};
         });
@@ -936,12 +866,9 @@ std::future<Response> ShardedFrontend::SubmitUpdate(Request request) {
     // gather demands every ack (file comment).
     const uint32_t shard = ShardOfId(remove->id);
     remove->id = LocalId(remove->id);
-    auto acks = FanWrite(shard, request);
-    return std::async(
-        std::launch::deferred,
-        [this, shard, acks = std::move(acks)]() mutable -> Response {
-          return Response{UpdateResult(GatherAcks(shard, &acks))};
-        });
+    std::vector<std::vector<std::future<Response>>> acks(n);
+    acks[shard] = FanWrite(shard, request);
+    return GatherStatus(std::move(acks));
   }
   if (const auto* batch = std::get_if<BatchUpdatePayload>(&request.payload)) {
     // Pre-validate the inserts against every shard BEFORE scattering: a
@@ -988,12 +915,7 @@ std::future<Response> ShardedFrontend::SubmitUpdate(Request request) {
   // Rebuild: every shard (every replica) reconstructs, deadline target
   // included.
   std::vector<std::vector<std::future<Response>>> acks(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    Request sub;
-    sub.deadline_micros = request.deadline_micros;
-    sub.payload = RebuildPayload{};
-    acks[s] = FanWrite(s, sub);
-  }
+  for (uint32_t s = 0; s < n; ++s) acks[s] = FanWrite(s, request);
   return GatherStatus(std::move(acks));
 }
 

@@ -54,14 +54,14 @@
 //    GtsIndex::KnnQueryBatch maintains internally. Selection by a total
 //    order commutes with partitioning, so on a round-robin partition the
 //    merged result is byte-identical to a single index over the whole
-//    corpus, pruning on or off, and — because replicas hold identical
+//    corpus, and — because replicas hold identical
 //    content — REGARDLESS of which replica served each sub-query
 //    (enforced by tests/serve_sharded_test.cc and
 //    tests/serve_replica_test.cc). Only exact reads carry the
 //    byte-identity guarantee. Pruning decisions are taken against each
 //    shard's primary-replica version at planning time; a concurrently
-//    published update lands in a later read's plan, the same freshness
-//    contract an unpruned scatter has.
+//    published update lands in a later read's plan; the replica sessions
+//    pin their own versions at flush time.
 //  - Failover (replication_factor > 1): a sub-query whose replica
 //    reports kUnavailable — or, when the read carries a deadline_micros
 //    envelope, whose attempt exceeds its share of the remaining budget —
@@ -128,11 +128,6 @@ struct FrontendOptions {
   /// Worker threads of the shared pool all replica flushes run on.
   /// 0 = std::thread::hardware_concurrency() (at least 1).
   uint32_t executor_threads = 4;
-  /// Covering-ball shard pruning + two-phase kNN scatter (the file
-  /// comment). Off = the legacy blind scatter — every read fans to every
-  /// shard. Results are byte-identical either way; the knob exists for
-  /// differential tests and for A/B measurement in the serve bench.
-  bool prune_scatter = true;
   /// Read failover budget: total attempts per sub-query, the first
   /// included. 0 = one attempt per replica of the shard (the default —
   /// every replica gets one chance). 1 disables failover.
@@ -351,13 +346,17 @@ class ShardedFrontend {
   /// order.
   std::vector<std::future<Response>> FanWrite(uint32_t shard,
                                               const Request& request);
-  /// Gathers one shard's write acks (UpdateResult alternatives): Ok iff
-  /// every replica acked. Applies the `shard.write-ack` fault per
-  /// replica; a partial ack set is an explicit kUnavailable naming the
-  /// failed replicas. Runs on the gathering thread.
-  Status GatherAcks(uint32_t shard, std::vector<std::future<Response>>* acks);
-  /// Deferred whole-scatter ack gather: first failing shard's status (by
-  /// shard order), through GatherAcks per shard.
+  /// Gathers one shard's write acks: Ok iff every replica acked. Applies
+  /// the `shard.write-ack` fault per replica; a partial ack set is an
+  /// explicit kUnavailable naming the failed replicas. When `responses`
+  /// is set it receives every replica's Response in replica order (the
+  /// insert gather checks their local ids agree). Runs on the gathering
+  /// thread.
+  Status GatherAcks(uint32_t shard, std::vector<std::future<Response>>* acks,
+                    std::vector<Response>* responses = nullptr);
+  /// Deferred ack gather over the shards a write reached (empty entries
+  /// are skipped): first failing shard's status (by shard order), through
+  /// GatherAcks per shard.
   std::future<Response> GatherStatus(
       std::vector<std::vector<std::future<Response>>> acks);
 

@@ -5,6 +5,7 @@
 
 #include "test_util.h"
 
+#include <limits>
 #include <numeric>
 
 #include "baselines/brute_force.h"
@@ -126,6 +127,20 @@ TEST_F(GtsRangeEdgeTest, RejectsMismatchedRadii) {
   const Dataset queries = SampleQueries(built.value()->data(), 4, 3);
   const std::vector<float> radii = {1.0f};  // 1 radius for 4 queries
   EXPECT_FALSE(built.value()->RangeQueryBatch(queries, radii).ok());
+}
+
+TEST_F(GtsRangeEdgeTest, RejectsNegativeAndNanRadii) {
+  Dataset data = GenerateDataset(DatasetId::kTLoc, 50, 5);
+  auto built = GtsIndex::Build(std::move(data), metric_.get(), &device_,
+                               GtsOptions{});
+  ASSERT_TRUE(built.ok());
+  const Dataset queries = SampleQueries(built.value()->data(), 2, 3);
+  for (const float bad : {-1.0f, std::numeric_limits<float>::quiet_NaN()}) {
+    // One bad radius fails the whole batch, wherever it sits.
+    const std::vector<float> radii = {1.0f, bad};
+    auto got = built.value()->RangeQueryBatch(queries, radii);
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST_F(GtsRangeEdgeTest, DuplicateHeavyDataIsExact) {

@@ -120,9 +120,9 @@ void ExpectKnnEqual(const std::vector<Neighbor>& got,
 
 // On a clustered partition, pruning must fire (a near-cluster query
 // cannot touch the other clusters' balls) AND every answer must stay
-// byte-identical to the single-index run — with the knob on and off, on
-// L2. Also checks the planner's accounting invariant: every planned read
-// resolves each shard exactly once, submitted or pruned.
+// byte-identical to the single-index run, on L2. Also checks the
+// planner's accounting invariant: every planned read resolves each shard
+// exactly once, submitted or pruned.
 TEST(ServePrunedScatterDifferential, ClusteredVectorsPruneAndStayExact) {
   for (const uint32_t num_shards : {2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(num_shards));
@@ -131,47 +131,39 @@ TEST(ServePrunedScatterDifferential, ClusteredVectorsPruneAndStayExact) {
     const Dataset queries = SampleQueries(c.data, kQueries, 77);
     const float r = 15.0f;  // covers the home cluster, far from the rest
 
-    for (const bool prune : {true, false}) {
-      SCOPED_TRACE(prune ? "pruned" : "blind");
-      serve::FrontendOptions options;
-      options.session.max_batch = 6;
-      options.session.max_wait_micros = 50;
-      options.prune_scatter = prune;
-      serve::ShardedFrontend frontend(ShardPtrs(c), options);
+    serve::FrontendOptions options;
+    options.session.max_batch = 6;
+    options.session.max_wait_micros = 50;
+    serve::ShardedFrontend frontend(ShardPtrs(c), options);
 
-      std::vector<std::future<Response>> range_futs, knn_futs;
-      for (uint32_t q = 0; q < kQueries; ++q) {
-        range_futs.push_back(frontend.Submit(Request::Range(queries, q, r)));
-        knn_futs.push_back(frontend.Submit(Request::Knn(queries, q, 5)));
-      }
-      for (uint32_t q = 0; q < kQueries; ++q) {
-        Response range = range_futs[q].get();
-        ASSERT_TRUE(range.ok()) << range.status().ToString();
-        auto want_range = c.whole->RangeQuery(queries, q, r);
-        ASSERT_TRUE(want_range.ok());
-        EXPECT_EQ(range.range().value(), want_range.value()) << "query " << q;
-
-        Response knn = knn_futs[q].get();
-        ASSERT_TRUE(knn.ok()) << knn.status().ToString();
-        auto want_knn = c.whole->KnnQuery(queries, q, 5);
-        ASSERT_TRUE(want_knn.ok());
-        ExpectKnnEqual(knn.knn().value(), want_knn.value(), q);
-      }
-      frontend.Drain();
-      const serve::FrontendStats stats = frontend.stats();
-      EXPECT_EQ(stats.scatter_reads, uint64_t{2} * kQueries);
-      EXPECT_EQ(stats.submitted + stats.pruned_shard_queries,
-                uint64_t{2} * kQueries * num_shards);
-      EXPECT_EQ(stats.completed, stats.submitted);
-      if (prune && num_shards > 1) {
-        // Every read's home cluster is far from the other shards' balls:
-        // the planner must skip most of the fan-out.
-        EXPECT_GE(stats.pruned_shard_queries,
-                  uint64_t{2} * kQueries * (num_shards - 1));
-      } else if (!prune) {
-        EXPECT_EQ(stats.pruned_shard_queries, 0u);
-      }
+    std::vector<std::future<Response>> range_futs, knn_futs;
+    for (uint32_t q = 0; q < kQueries; ++q) {
+      range_futs.push_back(frontend.Submit(Request::Range(queries, q, r)));
+      knn_futs.push_back(frontend.Submit(Request::Knn(queries, q, 5)));
     }
+    for (uint32_t q = 0; q < kQueries; ++q) {
+      Response range = range_futs[q].get();
+      ASSERT_TRUE(range.ok()) << range.status().ToString();
+      auto want_range = c.whole->RangeQuery(queries, q, r);
+      ASSERT_TRUE(want_range.ok());
+      EXPECT_EQ(range.range().value(), want_range.value()) << "query " << q;
+
+      Response knn = knn_futs[q].get();
+      ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+      auto want_knn = c.whole->KnnQuery(queries, q, 5);
+      ASSERT_TRUE(want_knn.ok());
+      ExpectKnnEqual(knn.knn().value(), want_knn.value(), q);
+    }
+    frontend.Drain();
+    const serve::FrontendStats stats = frontend.stats();
+    EXPECT_EQ(stats.scatter_reads, uint64_t{2} * kQueries);
+    EXPECT_EQ(stats.submitted + stats.pruned_shard_queries,
+              uint64_t{2} * kQueries * num_shards);
+    EXPECT_EQ(stats.completed, stats.submitted);
+    // Every read's home cluster is far from the other shards' balls: the
+    // planner must skip most of the fan-out.
+    EXPECT_GE(stats.pruned_shard_queries,
+              uint64_t{2} * kQueries * (num_shards - 1));
   }
 }
 

@@ -1,15 +1,17 @@
 // Unified request-plane suite: Submit(serve::Request) through QuerySession
-// and SessionRouter must be byte-identical to the legacy per-type entry
-// points (which are now one-line wrappers over it) and to direct batch
-// calls, across seeds and operation mixes; rejections must resolve in the
-// request's own typed Response alternative. Runs under the clang-tsan CI
-// job's Serve re-run.
+// and SessionRouter must be byte-identical to direct batch calls, across
+// seeds and operation mixes; rejections must resolve in the request's own
+// typed Response alternative, and every front end (QuerySession,
+// SessionRouter, ShardedFrontend) must reject the same invalid reads with
+// the same message. Runs under the clang-tsan CI job's Serve re-run.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
 
 #include <future>
+#include <limits>
 #include <numeric>
+#include <variant>
 #include <vector>
 
 #include "core/gts.h"
@@ -19,6 +21,7 @@
 #include "serve/query_session.h"
 #include "serve/request.h"
 #include "serve/session_router.h"
+#include "serve/sharded_frontend.h"
 
 namespace gts {
 namespace {
@@ -58,9 +61,9 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& got,
   }
 }
 
-// The unified entry point, the legacy wrappers, and the direct batch path
-// must agree byte-for-byte on every operation family, across seeds.
-TEST(ServeRequestDifferential, UnifiedMatchesLegacyAndBatchAcrossSeeds) {
+// The unified entry point and the direct batch path must agree
+// byte-for-byte on every operation family, across seeds.
+TEST(ServeRequestDifferential, UnifiedMatchesBatchAcrossSeeds) {
   for (const uint64_t seed : {11u, 12u, 13u}) {
     Env env = MakeIndexedEnv(DatasetId::kTLoc, 700, seed);
     const float r = CalibrateRadius(env.data, *env.metric, 0.02, 100, 7);
@@ -75,19 +78,13 @@ TEST(ServeRequestDifferential, UnifiedMatchesLegacyAndBatchAcrossSeeds) {
 
     std::vector<std::future<Response>> unified_range, unified_knn,
         unified_approx;
-    std::vector<std::future<Result<std::vector<uint32_t>>>> legacy_range;
-    std::vector<std::future<Result<std::vector<Neighbor>>>> legacy_knn,
-        legacy_approx;
     for (uint32_t q = 0; q < kQueries; ++q) {
       const uint64_t deadline = (q % 3 == 0) ? 400 : 0;
       unified_range.push_back(
           session.Submit(Request::Range(queries, q, r, deadline)));
-      legacy_range.push_back(session.SubmitRange(queries, q, r, deadline));
       unified_knn.push_back(session.Submit(Request::Knn(queries, q, 5)));
-      legacy_knn.push_back(session.SubmitKnn(queries, q, 5));
       unified_approx.push_back(
           session.Submit(Request::KnnApprox(queries, q, 5, 0.5)));
-      legacy_approx.push_back(session.SubmitKnnApprox(queries, q, 5, 0.5));
     }
 
     for (uint32_t q = 0; q < kQueries; ++q) {
@@ -96,24 +93,23 @@ TEST(ServeRequestDifferential, UnifiedMatchesLegacyAndBatchAcrossSeeds) {
       auto want_range = env.index->RangeQuery(queries, q, r);
       ASSERT_TRUE(want_range.ok());
       EXPECT_EQ(range.range().value(), want_range.value()) << "query " << q;
-      auto legacy = legacy_range[q].get();
-      ASSERT_TRUE(legacy.ok());
-      EXPECT_EQ(legacy.value(), want_range.value());
 
       Response knn = unified_knn[q].get();
       ASSERT_TRUE(knn.ok());
       auto want_knn = env.index->KnnQuery(queries, q, 5);
       ASSERT_TRUE(want_knn.ok());
       ExpectSameNeighbors(knn.knn().value(), want_knn.value());
-      auto legacy_k = legacy_knn[q].get();
-      ASSERT_TRUE(legacy_k.ok());
-      ExpectSameNeighbors(legacy_k.value(), want_knn.value());
 
+      // The approximate answer against the direct batch call on the
+      // one-query slice: the candidate budget is per query, so the slice
+      // reproduces what the coalesced flush computed for this query.
       Response approx = unified_approx[q].get();
       ASSERT_TRUE(approx.ok());
-      auto legacy_a = legacy_approx[q].get();
-      ASSERT_TRUE(legacy_a.ok());
-      ExpectSameNeighbors(approx.knn().value(), legacy_a.value());
+      const uint32_t one[] = {q};
+      auto want_approx =
+          env.index->KnnQueryBatchApprox(queries.Slice(one), 5, 0.5);
+      ASSERT_TRUE(want_approx.ok());
+      ExpectSameNeighbors(approx.knn().value(), want_approx.value()[0]);
     }
     session.Drain();
     const serve::SessionStats stats = session.stats();
@@ -173,8 +169,7 @@ TEST(ServeRequestTest, UpdateFamiliesRoundTripThroughUnifiedPlane) {
 }
 
 // Rejections resolve in the request's own typed alternative, so typed
-// consumers of Response (and the legacy wrappers unwrapping it) never see
-// a foreign alternative.
+// consumers of Response never see a foreign alternative.
 TEST(ServeRequestTest, RejectionsStayTyped) {
   Env env = MakeIndexedEnv(DatasetId::kTLoc, 300, 41);
   const Dataset queries = SampleQueries(env.data, 4, 5);
@@ -214,9 +209,72 @@ TEST(ServeRequestTest, RejectionsStayTyped) {
   EXPECT_FALSE(Request::Rebuild().is_read());
 }
 
-// Routed unified submissions must match the legacy router wrappers and
-// the per-tenant direct answers — the router plumbs one entry point.
-TEST(ServeRequestDifferential, RouterUnifiedMatchesLegacyPerTenant) {
+// One read validator serves the whole plane: every invalid read resolves
+// kInvalidArgument with the same message, in the request's own Response
+// alternative, whether it enters through QuerySession, SessionRouter or
+// ShardedFrontend.
+TEST(ServeRequestValidation, InvalidReadsRejectedAlikeOnEveryLayer) {
+  Env env = MakeIndexedEnv(DatasetId::kTLoc, 300, 91);
+  Env other = MakeIndexedEnv(DatasetId::kTLoc, 300, 92);
+  const Dataset queries = SampleQueries(env.data, 4, 5);
+  const Dataset wrong_kind = GenerateDataset(DatasetId::kWords, 4, 1);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto capped = [&](float cap) {
+    Request r = Request::Knn(queries, 0, 4);
+    std::get<serve::KnnPayload>(r.payload).bound_cap = cap;
+    return r;
+  };
+
+  struct Case {
+    const char* name;
+    Request request;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"nan radius", Request::Range(queries, 0, nan),
+       "range radius must be non-negative"},
+      {"negative radius", Request::Range(queries, 0, -1.0f),
+       "range radius must be non-negative"},
+      {"nan bound_cap", capped(nan), "kNN bound_cap must be non-negative"},
+      {"negative bound_cap", capped(-1.0f),
+       "kNN bound_cap must be non-negative"},
+      {"fraction 0", Request::KnnApprox(queries, 0, 4, 0.0),
+       "candidate_fraction must be in (0, 1]"},
+      {"fraction 1.5", Request::KnnApprox(queries, 0, 4, 1.5),
+       "candidate_fraction must be in (0, 1]"},
+      {"wrong kind", Request::Knn(wrong_kind, 0, 4),
+       "query object invalid for this index"},
+      {"factory index out of range",
+       Request::Range(queries, queries.size(), 1.0f),
+       "query object invalid for this index"},
+  };
+
+  serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
+  serve::QuerySession session(env.index.get(), &exec);
+  serve::SessionRouter router({env.index.get()});
+  serve::ShardedFrontend frontend(
+      std::vector<GtsIndex*>{env.index.get(), other.index.get()});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const bool is_range =
+        std::holds_alternative<serve::RangePayload>(c.request.payload);
+    const Response got[] = {session.Submit(c.request).get(),
+                            router.Submit(c.request).get(),
+                            frontend.Submit(c.request).get()};
+    for (const Response& response : got) {
+      EXPECT_EQ(std::holds_alternative<serve::RangeResult>(response.result),
+                is_range);
+      EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(response.status().message(), c.message);
+    }
+  }
+  EXPECT_EQ(session.stats().rejected, cases.size());
+  EXPECT_EQ(frontend.stats().scatter_reads, 0u);
+}
+
+// Routed unified submissions must match the per-tenant direct answers,
+// exact and approximate — the router plumbs one entry point.
+TEST(ServeRequestDifferential, RouterUnifiedMatchesDirectPerTenant) {
   Env a = MakeIndexedEnv(DatasetId::kTLoc, 500, 61);
   Env b = MakeIndexedEnv(DatasetId::kWords, 300, 62);
   Env* envs[] = {&a, &b};
@@ -230,12 +288,12 @@ TEST(ServeRequestDifferential, RouterUnifiedMatchesLegacyPerTenant) {
   constexpr uint32_t kQueries = 16;
   for (uint32_t t = 0; t < 2; ++t) {
     const Dataset queries = SampleQueries(envs[t]->data, kQueries, 81 + t);
-    std::vector<std::future<Response>> unified;
-    std::vector<std::future<Result<std::vector<Neighbor>>>> legacy;
+    std::vector<std::future<Response>> unified, approx;
     for (uint32_t q = 0; q < kQueries; ++q) {
       unified.push_back(
           router.Submit(Request::Knn(queries, q, 6).ForTenant(t)));
-      legacy.push_back(router.SubmitKnn(t, queries, q, 6));
+      approx.push_back(
+          router.Submit(Request::KnnApprox(queries, q, 6, 0.5).ForTenant(t)));
     }
     for (uint32_t q = 0; q < kQueries; ++q) {
       Response got = unified[q].get();
@@ -243,9 +301,14 @@ TEST(ServeRequestDifferential, RouterUnifiedMatchesLegacyPerTenant) {
       auto want = envs[t]->index->KnnQuery(queries, q, 6);
       ASSERT_TRUE(want.ok());
       ExpectSameNeighbors(got.knn().value(), want.value());
-      auto legacy_got = legacy[q].get();
-      ASSERT_TRUE(legacy_got.ok());
-      ExpectSameNeighbors(legacy_got.value(), want.value());
+
+      Response got_approx = approx[q].get();
+      ASSERT_TRUE(got_approx.ok()) << got_approx.status().ToString();
+      const uint32_t one[] = {q};
+      auto want_approx =
+          envs[t]->index->KnnQueryBatchApprox(queries.Slice(one), 6, 0.5);
+      ASSERT_TRUE(want_approx.ok());
+      ExpectSameNeighbors(got_approx.knn().value(), want_approx.value()[0]);
     }
   }
   router.Drain();
