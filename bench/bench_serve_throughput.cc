@@ -297,7 +297,6 @@ StreamResult StreamRange(const bench::BenchEnv& env, GtsIndex* index,
                          float radius) {
   serve::SessionOptions opts;
   opts.max_batch = kStreamBudget;
-  opts.max_wait_micros = 200;
   opts.max_queue = 4 * kStreamBudget;
   opts.admission = serve::AdmissionPolicy::kReject;
   serve::QuerySession session(index, exec, opts);
@@ -613,7 +612,6 @@ void RunRouterPhase(const bench::BenchEnv& env) {
 
   serve::RouterOptions router_options;
   router_options.session.max_batch = kRouterBatch;
-  router_options.session.max_wait_micros = 200;
   router_options.session.max_queue = kRouterQueue;
   router_options.executor_threads = kRouterThreads;
   router_options.max_inflight_per_tenant = kRouterQuota;
@@ -756,7 +754,6 @@ void RunShardedCount(const bench::BenchEnv& env, uint32_t num_shards,
 
   serve::FrontendOptions frontend_options;
   frontend_options.session.max_batch = kShardBatchBudget;
-  frontend_options.session.max_wait_micros = 200;
   frontend_options.session.max_queue = 4 * kShardBatchBudget;
   frontend_options.session.admission = serve::AdmissionPolicy::kBlock;
   frontend_options.executor_threads = kShardThreads;
@@ -1015,7 +1012,6 @@ ReplicaModeResult RunReplicaMode(
 
   serve::FrontendOptions options;
   options.session.max_batch = kShardBatchBudget;
-  options.session.max_wait_micros = 200;
   options.session.max_queue = 4 * kShardBatchBudget;
   options.session.admission = serve::AdmissionPolicy::kBlock;
   options.executor_threads = kShardThreads;

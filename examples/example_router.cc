@@ -52,7 +52,6 @@ int main() {
   // 64 unresolved reads per tenant.
   serve::RouterOptions options;
   options.session.max_batch = 32;
-  options.session.max_wait_micros = 200;
   options.session.max_queue = 256;
   options.session.admission = serve::AdmissionPolicy::kReject;
   options.executor_threads = 4;

@@ -17,7 +17,6 @@
 #ifndef GTS_COMMON_THREAD_ANNOTATIONS_H_
 #define GTS_COMMON_THREAD_ANNOTATIONS_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -126,14 +125,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(Mutex* mu) REQUIRES(mu) { cv_.wait(*mu); }
-
-  // Returns true if the wait timed out (deadline passed before a signal).
-  template <typename Clock, typename Duration>
-  bool WaitUntil(Mutex* mu,
-                 const std::chrono::time_point<Clock, Duration>& deadline)
-      REQUIRES(mu) {
-    return cv_.wait_until(*mu, deadline) == std::cv_status::timeout;
-  }
 
   void SignalOne() { cv_.notify_one(); }
   void SignalAll() { cv_.notify_all(); }

@@ -243,21 +243,8 @@ std::future<Response> QuerySession::SubmitWrite(PendingWrite write,
   return future;
 }
 
-void QuerySession::Flush() {
-  MutexLock lock(&mu_);
-  // Only nudge when something is queued: a stale flush_now_ would turn
-  // the next submission into a degenerate singleton batch.
-  if (reads_.empty()) return;
-  flush_now_ = true;
-  cv_dispatch_.SignalAll();
-}
-
 void QuerySession::Drain() {
   MutexLock lock(&mu_);
-  if (!reads_.empty()) {
-    flush_now_ = true;
-    cv_dispatch_.SignalAll();
-  }
   while (!(reads_.empty() && writes_.empty() && !busy_)) {
     cv_drained_.Wait(&mu_);
   }
@@ -295,28 +282,11 @@ void QuerySession::DispatchLoop() {
       cv_drained_.SignalAll();
       continue;
     }
-    if (reads_.empty()) continue;
 
-    // Dynamic batching: wait for the batch to fill or the oldest entry's
-    // max-wait expiry — unless already full, nudged, stopping, or a writer
-    // needs the gate to start counting. The oldest entry is found by scan:
-    // an EDF sort at a previous flush may have reordered the queue, so the
-    // front is not necessarily the earliest arrival.
-    if (reads_.size() < options_.max_batch && !flush_now_ && !stop_ &&
-        writes_.empty()) {
-      auto oldest = reads_.front().enqueued_at;
-      for (const PendingRead& r : reads_) {
-        oldest = std::min(oldest, r.enqueued_at);
-      }
-      const auto wait_until =
-          oldest + std::chrono::microseconds(options_.max_wait_micros);
-      while (!stop_ && !flush_now_ && writes_.empty() &&
-             reads_.size() < options_.max_batch) {
-        if (cv_dispatch_.WaitUntil(&mu_, wait_until)) break;  // timed out
-      }
-      if (reads_.empty()) continue;
-    }
-
+    // Work-conserving batching: the dispatcher is idle, so it flushes
+    // what is queued now, up to max_batch. Reads that arrive while this
+    // flush runs queue up and form the next batch, so batch size follows
+    // load and no read waits for company.
     const size_t take =
         std::min<size_t>(reads_.size(), options_.max_batch);
     // EDF composition: when the backlog exceeds the batch and any queued
@@ -345,7 +315,6 @@ void QuerySession::DispatchLoop() {
       batch.push_back(std::move(reads_.front()));
       reads_.pop_front();
     }
-    if (reads_.empty()) flush_now_ = false;
     ++stats_.flushes;
     busy_ = true;
     cv_space_.SignalAll();  // admission room freed

@@ -8,14 +8,18 @@
 // busy (the Faiss-style GPU-serving recipe). Three policies shape the
 // stream:
 //
-//  - Dynamic batching: a flush runs when `max_batch` queries are queued or
-//    the oldest queued query has waited `max_wait_micros`, whichever comes
-//    first. A flush cycle pins one GtsIndex::ReadSnapshot (an epoch-pinned
-//    immutable version — acquiring it never blocks and never delays an
-//    update), partitions the coalesced batch into per-(operation, k,
-//    fraction) groups, shards the groups over the executor's worker pool,
-//    and resolves every future — all queries of one flush observe the same
-//    index version (cross-batch snapshot semantics).
+//  - Work-conserving batching: whenever reads are queued and no flush is
+//    running, the dispatcher flushes up to `max_batch` of them at once —
+//    there is no timer, so an idle session answers a lone read at once.
+//    Reads that arrive during a flush queue up and form the next batch, so
+//    batch size follows load and fills under saturation (the adaptive
+//    batching of Clipper, Crankshaw et al., NSDI 2017). A flush cycle
+//    pins one GtsIndex::ReadSnapshot (an epoch-pinned immutable version —
+//    acquiring it never blocks and never delays an update), partitions
+//    the coalesced batch into per-(operation, k, fraction) groups, shards
+//    the groups over the executor's worker pool, and resolves every
+//    future — all queries of one flush observe the same index version
+//    (cross-batch snapshot semantics).
 //  - Deadline-aware composition: each read submission may carry a
 //    `deadline_micros` target. Under the default earliest-deadline-first
 //    order a flush drains the most-urgent queued queries, not the oldest
@@ -89,10 +93,9 @@ enum class FlushOrder {
 };
 
 struct SessionOptions {
-  /// Flush when this many read queries are queued.
+  /// Largest read flush: an idle dispatcher takes at most this many
+  /// queued reads into one snapshot-pinned cycle.
   uint32_t max_batch = 64;
-  /// Flush when the oldest queued read query has waited this long.
-  uint32_t max_wait_micros = 200;
   /// Admission bound: queued (not yet flushed) read queries.
   uint32_t max_queue = 1024;
   AdmissionPolicy admission = AdmissionPolicy::kReject;
@@ -194,9 +197,9 @@ class QuerySession {
   std::vector<std::future<Response>> SubmitBatch(
       std::vector<Request> requests) EXCLUDES(mu_);
 
-  /// Nudges the batcher: everything queued right now flushes without
-  /// waiting for max_batch / max_wait_micros.
-  void Flush() EXCLUDES(mu_);
+  /// No-op: the dispatcher is work-conserving, so nothing queued waits
+  /// for a nudge. Drain() is the call that waits for completion.
+  void Flush() {}
   /// Blocks until every submission made before the call has completed.
   void Drain() EXCLUDES(mu_);
 
@@ -291,7 +294,6 @@ class QuerySession {
   /// Ring of recent completed-read ms.
   std::vector<double> latency_ms_ GUARDED_BY(mu_);
   size_t latency_next_ GUARDED_BY(mu_) = 0;
-  bool flush_now_ GUARDED_BY(mu_) = false;
   /// Dispatcher is mid-flush / mid-write (off-lock).
   bool busy_ GUARDED_BY(mu_) = false;
   bool stop_ GUARDED_BY(mu_) = false;

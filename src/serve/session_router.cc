@@ -48,10 +48,6 @@ std::future<Response> SessionRouter::Submit(Request request) {
   return t.session->Submit(std::move(request));
 }
 
-void SessionRouter::Flush() {
-  for (auto& tenant : tenants_) tenant->session->Flush();
-}
-
 void SessionRouter::Drain() {
   for (auto& tenant : tenants_) tenant->session->Drain();
 }

@@ -125,8 +125,9 @@ class SessionRouter {
 
   std::future<Response> Submit(Request request);
 
-  /// Nudges every tenant's batcher (QuerySession::Flush).
-  void Flush();
+  /// No-op, like QuerySession::Flush: every tenant session dispatches as
+  /// soon as its dispatcher is idle.
+  void Flush() {}
   /// Blocks until every submission made before the call has completed,
   /// across all tenants.
   void Drain();
@@ -136,7 +137,7 @@ class SessionRouter {
   /// cross-tenant totals are not a single atomic cut.
   RouterStats stats() const;
 
-  /// Direct access to one tenant's session (e.g. to flush a single tenant
+  /// Direct access to one tenant's session (e.g. to drain a single tenant
   /// or to read its SessionStats); null for an unknown tenant id. The
   /// session is owned by the router.
   QuerySession* session(uint32_t tenant) {

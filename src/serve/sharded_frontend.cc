@@ -919,12 +919,6 @@ std::future<Response> ShardedFrontend::SubmitUpdate(Request request) {
   return GatherStatus(std::move(acks));
 }
 
-void ShardedFrontend::Flush() {
-  for (auto& group : groups_) {
-    for (auto& replica : group->replicas) replica->Flush();
-  }
-}
-
 void ShardedFrontend::Drain() {
   for (auto& group : groups_) {
     for (auto& replica : group->replicas) replica->Drain();

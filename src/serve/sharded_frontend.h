@@ -221,8 +221,9 @@ class ShardedFrontend {
   std::vector<std::future<Response>> SubmitBatch(
       std::vector<Request> requests);
 
-  /// Nudges every replica session's batcher (QuerySession::Flush).
-  void Flush();
+  /// No-op, like QuerySession::Flush: every replica session dispatches as
+  /// soon as its dispatcher is idle.
+  void Flush() {}
   /// Blocks until every submission made before the call has completed,
   /// across all shards and replicas. Deferred read futures may still
   /// await their caller's get(); the underlying per-shard answers are

@@ -82,7 +82,6 @@ TEST(ServeChaosSoak, FaultChurnLosesNoAcksAndForksNoReplica) {
 
   serve::FrontendOptions options;
   options.session.max_batch = 4;
-  options.session.max_wait_micros = 50;
   options.session.admission = serve::AdmissionPolicy::kBlock;
   options.executor_threads = 4;
   serve::ShardedFrontend frontend(layout, options);

@@ -133,7 +133,6 @@ TEST(ServePrunedScatterDifferential, ClusteredVectorsPruneAndStayExact) {
 
     serve::FrontendOptions options;
     options.session.max_batch = 6;
-    options.session.max_wait_micros = 50;
     serve::ShardedFrontend frontend(ShardPtrs(c), options);
 
     std::vector<std::future<Response>> range_futs, knn_futs;
@@ -389,7 +388,6 @@ TEST(ServePrunedScatterTest, BatchedScatterKeepsEdfComposition) {
   std::vector<std::vector<uint64_t>> flushes;
   serve::FrontendOptions options;
   options.session.max_batch = 4;
-  options.session.max_wait_micros = 1000;
   options.session.max_queue = 64;
   options.session.on_flush = [&](std::span<const uint64_t> seqs) {
     std::lock_guard<std::mutex> lock(flush_mu);

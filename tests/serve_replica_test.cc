@@ -149,7 +149,6 @@ TEST(ServeReplicaDifferential, ReplicatedReadsMatchSingleIndex) {
 
         serve::FrontendOptions options;
         options.session.max_batch = 6;
-        options.session.max_wait_micros = 50;
         options.executor_threads = 4;
         serve::ShardedFrontend frontend(c.Layout(), options);
         ASSERT_EQ(frontend.num_shards(), num_shards);
@@ -198,7 +197,6 @@ TEST(ServeReplicaFailover, DeadReplicaServesByteIdenticalReads) {
 
     serve::FrontendOptions options;
     options.session.max_batch = 4;
-    options.session.max_wait_micros = 50;
     serve::ShardedFrontend frontend(c.Layout(), options);
 
     {
@@ -233,7 +231,6 @@ TEST(ServeReplicaFailover, ReplicaKilledMidRunThenRecovers) {
 
   serve::FrontendOptions options;
   options.session.max_batch = 4;
-  options.session.max_wait_micros = 50;
   options.probe_period = 2;  // probe aggressively so recovery is observed
   serve::ShardedFrontend frontend(c.Layout(), options);
 

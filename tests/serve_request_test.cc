@@ -73,7 +73,6 @@ TEST(ServeRequestDifferential, UnifiedMatchesBatchAcrossSeeds) {
     serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
     serve::SessionOptions opts;
     opts.max_batch = 5;  // many flush cycles
-    opts.max_wait_micros = 50;
     serve::QuerySession session(env.index.get(), &exec, opts);
 
     std::vector<std::future<Response>> unified_range, unified_knn,
@@ -281,7 +280,6 @@ TEST(ServeRequestDifferential, RouterUnifiedMatchesDirectPerTenant) {
 
   serve::RouterOptions options;
   options.session.max_batch = 6;
-  options.session.max_wait_micros = 50;
   options.executor_threads = 2;
   serve::SessionRouter router({a.index.get(), b.index.get()}, options);
 

@@ -66,7 +66,6 @@ TEST(ServeRouterDifferential, RoutedResultsMatchPerIndexBatches) {
 
   serve::RouterOptions options;
   options.session.max_batch = 7;  // many flush cycles
-  options.session.max_wait_micros = 50;
   options.executor_threads = 4;
   serve::SessionRouter router(
       {geo.index.get(), words.index.get(), color.index.get()}, options);
@@ -159,7 +158,6 @@ TEST(ServeRouterQuota, SaturatingTenantCannotRejectNeighbor) {
   serve::RouterOptions options;
   options.session.max_batch = 4;
   options.session.max_queue = 16;
-  options.session.max_wait_micros = 0;
   options.session.admission = serve::AdmissionPolicy::kReject;
   options.executor_threads = 2;
   options.max_inflight_per_tenant = 8;
@@ -226,7 +224,6 @@ TEST(ServeRouterEdf, TightDeadlineJumpsLooseBacklog) {
     serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
     serve::SessionOptions opts;
     opts.max_batch = 1;  // one query per flush: composition order observable
-    opts.max_wait_micros = 0;
     opts.admission = serve::AdmissionPolicy::kBlock;
     // Queued writers always run before the next read flush, so the rebuild
     // below applies before any read regardless of dispatcher wakeup timing.
@@ -284,7 +281,6 @@ TEST(ServeRouterEdf, AgedDeadlineFreeReadOutranksLaterUrgent) {
   serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
   serve::SessionOptions opts;
   opts.max_batch = 1;
-  opts.max_wait_micros = 0;
   opts.admission = serve::AdmissionPolicy::kBlock;
   opts.no_deadline_slack_micros = 2000;
   opts.on_flush = [&](std::span<const uint64_t> seqs) {
@@ -320,7 +316,6 @@ TEST(ServeRouterTest, ConcurrentMixedTrafficKeepsInvariants) {
 
   serve::RouterOptions options;
   options.session.max_batch = 8;
-  options.session.max_wait_micros = 100;
   options.session.admission = serve::AdmissionPolicy::kBlock;
   options.executor_threads = 4;
   serve::SessionRouter router({a.index.get(), b.index.get()}, options);

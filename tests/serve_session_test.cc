@@ -9,8 +9,11 @@
 #include "test_util.h"
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <mutex>
 #include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -66,12 +69,11 @@ TEST(ServeSessionDifferential, FuturesMatchBatchPathAcrossSeeds) {
     ASSERT_TRUE(want_approx.ok());
 
     serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{4, 0});
-    // Tiny max_batch and zero wait exercise many flush cycles; a large
-    // second config coalesces everything into one.
+    // A tiny max_batch exercises many flush cycles; a large second
+    // config lets the submission burst coalesce into big flushes.
     for (const uint32_t max_batch : {5u, 256u}) {
       serve::SessionOptions opts;
       opts.max_batch = max_batch;
-      opts.max_wait_micros = 50;
       serve::QuerySession session(env.index.get(), &exec, opts);
 
       std::vector<std::future<Response>> range_futures, knn_futures,
@@ -166,6 +168,83 @@ TEST(ServeSessionTest, SnapshotPinsStateAcrossBatches) {
   EXPECT_EQ(env.index->cache_size(), 1u);
 }
 
+// Work-conserving dispatch, saturated side: reads that arrive while the
+// dispatcher is busy (pinned here in a rebuild of a 20k-object index,
+// which outlasts ten queue pushes by orders of magnitude) queue up, and
+// the idle dispatcher then drains the backlog max_batch at a time, in
+// arrival order.
+TEST(ServeSessionTest, BacklogCoalescesUpToMaxBatch) {
+  Env env = MakeIndexedEnv(DatasetId::kTLoc, 20000, 83);
+  const float r = CalibrateRadius(env.data, *env.metric, 0.001, 100, 7);
+  const Dataset queries = SampleQueries(env.data, 10, 5);
+
+  std::mutex mu;
+  std::vector<std::vector<uint64_t>> flush_seqs;
+  serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
+  serve::SessionOptions opts;
+  opts.max_batch = 4;
+  opts.on_flush = [&](std::span<const uint64_t> seqs) {
+    std::lock_guard<std::mutex> lock(mu);
+    flush_seqs.emplace_back(seqs.begin(), seqs.end());
+  };
+  serve::QuerySession session(env.index.get(), &exec, opts);
+
+  // Writes first: the rebuild runs before any of the reads, whenever the
+  // dispatcher wakes.
+  auto rebuild = session.Submit(Request::Rebuild());
+  std::vector<std::future<Response>> futures;
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    futures.push_back(session.Submit(Request::Range(queries, q, r)));
+  }
+  EXPECT_TRUE(rebuild.get().ok());
+  // No Drain() before the futures resolve: the backlog's short tail
+  // ({8, 9}) must flush without a nudge.
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+        << "a partial batch was held back";
+    EXPECT_TRUE(f.get().ok());
+  }
+
+  std::lock_guard<std::mutex> lock(mu);
+  const std::vector<std::vector<uint64_t>> want{
+      {0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9}};
+  EXPECT_EQ(flush_seqs, want);
+}
+
+// Work-conserving dispatch, idle side: a lone read on an idle session
+// flushes at once, alone — no Flush() or Drain() nudge, no timer to wait
+// out. The 10 s bound turns a dispatcher that holds the read into a
+// failure instead of a hang.
+TEST(ServeSessionTest, LoneReadOnIdleSessionResolvesAlone) {
+  Env env = MakeIndexedEnv(DatasetId::kTLoc, 600, 89);
+  const float r = CalibrateRadius(env.data, *env.metric, 0.02, 100, 7);
+  const Dataset queries = SampleQueries(env.data, 1, 5);
+
+  std::mutex mu;
+  std::vector<std::vector<uint64_t>> flush_seqs;
+  serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
+  serve::SessionOptions opts;
+  opts.on_flush = [&](std::span<const uint64_t> seqs) {
+    std::lock_guard<std::mutex> lock(mu);
+    flush_seqs.emplace_back(seqs.begin(), seqs.end());
+  };
+  serve::QuerySession session(env.index.get(), &exec, opts);
+
+  auto future = session.Submit(Request::Range(queries, 0, r));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a lone read on an idle session was held back";
+  const Response got = future.get();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto want = env.index->RangeQuery(queries, 0, r);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(got.range().value(), want.value());
+
+  std::lock_guard<std::mutex> lock(mu);
+  const std::vector<std::vector<uint64_t>> want_flushes{{0}};
+  EXPECT_EQ(flush_seqs, want_flushes);
+}
+
 TEST(ServeSessionAdmission, RejectPolicyFiresUnderOverload) {
   Env env = MakeIndexedEnv(DatasetId::kTLoc, 1500, 41);
   const float r = CalibrateRadius(env.data, *env.metric, 0.02, 100, 7);
@@ -175,7 +254,6 @@ TEST(ServeSessionAdmission, RejectPolicyFiresUnderOverload) {
   serve::SessionOptions opts;
   opts.max_batch = 4;
   opts.max_queue = 8;
-  opts.max_wait_micros = 0;
   opts.admission = serve::AdmissionPolicy::kReject;
   serve::QuerySession session(env.index.get(), &exec, opts);
 
@@ -215,7 +293,6 @@ TEST(ServeSessionAdmission, BlockPolicyCompletesEverything) {
   serve::SessionOptions opts;
   opts.max_batch = 4;
   opts.max_queue = 4;
-  opts.max_wait_micros = 0;
   opts.admission = serve::AdmissionPolicy::kBlock;
   serve::QuerySession session(env.index.get(), &exec, opts);
 
@@ -293,7 +370,6 @@ TEST(ServeSessionWriters, WriterPromptBehindSaturatingReaders) {
   serve::SessionOptions opts;
   opts.max_batch = 8;
   opts.max_queue = 64;
-  opts.max_wait_micros = 0;
   opts.admission = serve::AdmissionPolicy::kBlock;
   serve::QuerySession session(env.index.get(), &exec, opts);
 
@@ -344,7 +420,6 @@ TEST(ServeSessionTest, MixedStreamUnderChurnKeepsInvariants) {
   serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{4, 0});
   serve::SessionOptions opts;
   opts.max_batch = 8;
-  opts.max_wait_micros = 100;
   serve::QuerySession session(env.index.get(), &exec, opts);
 
   std::atomic<uint64_t> failures{0};

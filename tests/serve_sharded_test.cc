@@ -97,7 +97,6 @@ TEST(ServeShardedDifferential, ScatterGatherMatchesSingleIndex) {
 
         serve::FrontendOptions options;
         options.session.max_batch = 6;  // several flush cycles per shard
-        options.session.max_wait_micros = 50;
         options.executor_threads = 4;
         serve::ShardedFrontend frontend(ShardPtrs(c), options);
 
@@ -283,7 +282,6 @@ TEST(ServeShardedTest, ConcurrentMixedChurnKeepsInvariants) {
 
   serve::FrontendOptions options;
   options.session.max_batch = 8;
-  options.session.max_wait_micros = 100;
   options.session.admission = serve::AdmissionPolicy::kBlock;
   options.executor_threads = 4;
   serve::ShardedFrontend frontend(ShardPtrs(c), options);
